@@ -1,35 +1,20 @@
-"""Hot numeric kernel: the two-segment SSE table over all splits and truncations.
+"""Hot numeric kernels: the two-segment SSE table and method 2's split argmins.
 
 Every Monte Carlo study in this package reduces to evaluating, for one
 n x d matrix after another, the within-segment sum of squares for every
 split row k in {2, ..., n-2} and every truncation level T in {1, ..., d}.
-The default implementation is numba-compiled (cached to disk on first
-use); setting the environment variable ``CPKMEANS_NO_NUMBA=1`` before
-import selects a pure-numpy path that computes the identical table.
-``benchmarks/bench_objective_table.py`` times the two side by side.
+``objective_table`` computes that table for one matrix.
+``subsample_argmins`` computes only the argmin over k of each table row,
+for a whole stack of row subsets at once, with the same arithmetic, so
+its result equals the per-subset argmins of ``objective_table`` bit for
+bit.  ``benchmarks/bench_objective_table.py`` times both.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-    HAVE_NUMBA = False
-
-_ENV_FLAG = "CPKMEANS_NO_NUMBA"
-
-
-def numba_disabled_by_env() -> bool:
-    return os.environ.get(_ENV_FLAG, "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-def objective_table_numpy(values: np.ndarray) -> np.ndarray:
-    """Vectorized numpy implementation of the objective table.
+def objective_table(values: np.ndarray) -> np.ndarray:
+    """Two-segment within-group sum of squares for every split and truncation.
 
     Parameters
     ----------
@@ -55,44 +40,53 @@ def objective_table_numpy(values: np.ndarray) -> np.ndarray:
     return tss[:, None] - head_energy[ks - 1].T / ks - tail_energy[ks - 1].T / (n - ks)
 
 
-def _objective_table_loops(values):
-    # Same table as objective_table_numpy, written as loops for numba.
-    n, d = values.shape
-    head = np.empty((n, d))
-    for j in range(d):
-        acc = 0.0
-        for i in range(n):
-            acc += values[i, j]
-            head[i, j] = acc
-    tss = np.empty(d)
-    total = 0.0
-    for j in range(d):
-        col = 0.0
-        for i in range(n):
-            col += values[i, j] * values[i, j]
-        total += col
-        tss[j] = total
-    table = np.empty((d, n - 3))
-    for idx in range(n - 3):
-        k = idx + 2
-        inv_head = 1.0 / k
-        inv_tail = 1.0 / (n - k)
-        head_energy = 0.0
-        tail_energy = 0.0
-        for j in range(d):
-            h = head[k - 1, j]
-            t = head[n - 1, j] - h
-            head_energy += h * h
-            tail_energy += t * t
-            table[j, idx] = tss[j] - head_energy * inv_head - tail_energy * inv_tail
-    return table
+def subsample_argmins(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Best split of every row subset at every truncation level.
 
+    Parameters
+    ----------
+    values : float64 array of shape (n, d)
+    rows : integer array of shape (s, m), m >= 4; each row lists the
+        sorted row indices of one subset of ``values``
 
-if HAVE_NUMBA:
-    objective_table_numba = njit(cache=True)(_objective_table_loops)
-else:  # pragma: no cover
-    objective_table_numba = None
+    Returns
+    -------
+    argmins : intp array of shape (s, d)
+        ``argmins[i, T - 1]`` equals
+        ``argmin(objective_table(values[rows[i]])[T - 1])`` exactly.
 
-NUMBA_ENABLED = HAVE_NUMBA and not numba_disabled_by_env()
-
-objective_table = objective_table_numba if NUMBA_ENABLED else objective_table_numpy
+    The loop runs over T, one column at a time, for all subsets at once,
+    and keeps (s, m) and (s, d) buffers, never an (s, m, d) stack.  Every
+    sum is accumulated in the same order as in ``objective_table``: down
+    the rows within a column, then across the columns; so the values
+    compared, and hence the first-minimum tie-break, are identical.
+    """
+    s, m = rows.shape
+    d = values.shape[1]
+    ks = np.arange(2, m - 1)
+    rest = m - ks
+    # Per-subset column sums of squares, summed down the sorted rows.
+    sq = values * values
+    col_sq = np.zeros((s, d))
+    for i in range(m):
+        col_sq += sq[rows[:, i]]
+    tss = np.cumsum(col_sq, axis=1)
+    columns = np.ascontiguousarray(values.T)
+    head = np.empty((s, m))
+    tail = np.empty((s, m - 3))
+    head_energy = np.zeros((s, m - 3))
+    tail_energy = np.zeros((s, m - 3))
+    obj = np.empty((s, m - 3))
+    scratch = np.empty((s, m - 3))
+    out = np.empty((d, s), dtype=np.intp)
+    for t in range(d):
+        np.cumsum(columns[t][rows], axis=1, out=head)
+        split_head = head[:, 1 : m - 2]
+        np.subtract(head[:, -1:], split_head, out=tail)
+        head_energy += np.multiply(split_head, split_head, out=scratch)
+        tail_energy += np.multiply(tail, tail, out=scratch)
+        np.divide(head_energy, ks, out=obj)
+        np.subtract(tss[:, t : t + 1], obj, out=obj)
+        obj -= np.divide(tail_energy, rest, out=scratch)
+        out[t] = obj.argmin(axis=1)
+    return out.T

@@ -269,7 +269,7 @@ def _run_select_t(args) -> int:
     elif args.method == "method1":
         t_hat = method1_select(surrogate(sample, args.sigma))
     else:
-        t_hat = method2_select(sample, args.sigma, args.n_sub, args.frac, args.seed)
+        t_hat = method2_select(sample, args.n_sub, args.frac, args.seed)
     print(t_hat)
     return EXIT_OK
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ValidationError
 from .estimator import estimate_tau, sweep_estimate
 from .model import ModelSpec, generate_sample
-from .smoothing import method1_select, method2_select, surrogate
+from .smoothing import method1_select, method2_select, subsample_size, surrogate
 from .stats import SummaryStats, fit_line, summarize
 
 __all__ = [
@@ -77,6 +77,7 @@ class ExperimentConfig:
                 raise ValidationError(f"every n must be >= 4, got {n}")
             if abs(self.tau * n - round(self.tau * n)) > 1e-9:
                 raise ValidationError(f"tau * n must be integral, got tau={self.tau}, n={n}")
+            subsample_size(n, self.n_sub, self.frac)
         if not self.t_grid:
             raise ValidationError("t_grid must be non-empty")
         for t in self.t_grid:
@@ -272,9 +273,7 @@ def _selection_trial(payload) -> list[TrialRecord]:
         ("method1", method1_select(z)),
         (
             "method2",
-            method2_select(
-                sample, config.sigma, config.n_sub, config.frac, int(rng.integers(0, _SEED_CAP))
-            ),
+            method2_select(sample, config.n_sub, config.frac, int(rng.integers(0, _SEED_CAP))),
         ),
     ]
     out = []

@@ -19,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import objective_table
+# Unused here, but kept bound: tracing tools wrap smoothing.objective_table by name.
+from ._kernels import objective_table  # noqa: F401
+from ._kernels import subsample_argmins
 from .errors import ValidationError
 from .estimator import ChangePointFit, estimate_tau
 from .model import SignalMatrix
@@ -31,6 +33,7 @@ __all__ = [
     "lepski_select",
     "method1_select",
     "method2_select",
+    "subsample_size",
     "estimate_adaptive",
 ]
 
@@ -111,29 +114,29 @@ def method1_select(z: SurrogateVector) -> int:
     return int(np.argmin(v)) + 1
 
 
-def method2_select(
-    Y: SignalMatrix, sigma: float, n_sub: int, frac: float, seed: int
-) -> int:
-    """Smallest T minimizing the variance of the estimated change fraction
-    over n_sub sorted subsamples of floor(frac * n) rows each.
-
-    The same subsamples are reused for every T; the variance is the
-    unbiased one.  ``sigma`` is accepted for interface parity with the
-    other selectors and does not enter the criterion.
-    """
+def subsample_size(n: int, n_sub: int, frac: float) -> int:
+    """Rows per method-2 subsample, floor(frac * n), after checking the tuning."""
     if n_sub < 2:
         raise ValidationError(f"n_sub must be >= 2, got {n_sub}")
     if not 0.0 < frac < 1.0:
         raise ValidationError(f"frac must lie in (0, 1), got {frac}")
-    m = int(frac * Y.n)
+    m = int(frac * n)
     if m < 4:
         raise ValidationError(f"subsample of {m} rows is too small (need >= 4)")
+    return m
+
+
+def method2_select(Y: SignalMatrix, n_sub: int, frac: float, seed: int) -> int:
+    """Smallest T minimizing the variance of the estimated change fraction
+    over n_sub sorted subsamples of floor(frac * n) rows each.
+
+    The same subsamples are reused for every T; the variance is the
+    unbiased one.
+    """
+    m = subsample_size(Y.n, n_sub, frac)
     rng = np.random.default_rng(seed)
-    tau_hats = np.empty((n_sub, Y.d))
-    for s in range(n_sub):
-        idx = np.sort(rng.choice(Y.n, size=m, replace=False))
-        table = objective_table(np.ascontiguousarray(Y.values[idx]))
-        tau_hats[s] = (np.argmin(table, axis=1) + 2) / m
+    rows = np.stack([np.sort(rng.choice(Y.n, size=m, replace=False)) for _ in range(n_sub)])
+    tau_hats = (subsample_argmins(Y.values, rows) + 2) / m
     return int(np.argmin(tau_hats.var(axis=0, ddof=1))) + 1
 
 

@@ -1,13 +1,16 @@
 """Shared independent oracles for the test suite.
 
 These deliberately avoid the package's fast paths: the Lepski oracle
-enumerates every (k, m, j) window literally, and the two-regime oracle
-evaluates the split criterion segment by segment.
+enumerates every (k, m, j) window literally, the two-regime oracle
+evaluates the split criterion segment by segment, and the method-2
+oracle builds one full objective table per subsample.
 """
 
 import math
 
 import numpy as np
+
+from cpkmeans._kernels import objective_table
 
 
 def lepski_bruteforce(z: np.ndarray, nu_sq: float, c_lepski: float, n: int, d: int) -> int:
@@ -42,3 +45,16 @@ def two_regime_scores(z: np.ndarray) -> np.ndarray:
             score += float(((tail - tail.mean()) ** 2).sum())
         out[t - 1] = score
     return out
+
+
+def method2_loop(values: np.ndarray, n_sub: int, frac: float, seed: int) -> int:
+    """Method 2 as a loop: one full objective table per subsample."""
+    n, d = values.shape
+    m = int(frac * n)
+    rng = np.random.default_rng(seed)
+    tau_hats = np.empty((n_sub, d))
+    for s in range(n_sub):
+        idx = np.sort(rng.choice(n, size=m, replace=False))
+        table = objective_table(np.ascontiguousarray(values[idx]))
+        tau_hats[s] = (np.argmin(table, axis=1) + 2) / m
+    return int(np.argmin(tau_hats.var(axis=0, ddof=1))) + 1

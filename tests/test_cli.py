@@ -167,6 +167,23 @@ def test_experiment_trials_override(tmp_path, capsys):
     assert len(rows) == 1 + 3 * 2  # header + trials * len(n_grid)
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [("n_sub=1", "n_sub"), ("frac=1.0", "frac"), ("frac=0.1", "too small")],
+)
+def test_experiment_bad_subsampling_is_rejected_before_trials(tmp_path, capsys, extra, message):
+    cfg = tmp_path / "selection.cfg"
+    cfg.write_text(
+        "study=selection\ncase=caseB\nbase_seed=2\ntrials=2\nn_grid=20\nd=25\n"
+        f"sigma=1.0\ntau=0.3\nt_grid=1:25\nt_star=5\n{extra}\n"
+    )
+    out = tmp_path / "run"
+    args = ["experiment", "--config", str(cfg), "--out", str(out), "--workers", "1"]
+    assert main(args) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_experiment_sweep_config_range_syntax(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(

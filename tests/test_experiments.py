@@ -119,6 +119,17 @@ def test_config_validation():
         run_rate_study(_rate_config(case=MeanCase.CASE_A, n_grid=(20,)))
 
 
+def test_config_rejects_bad_subsampling():
+    with pytest.raises(ValidationError, match="n_sub"):
+        _rate_config(n_sub=1)
+    for frac in (0.0, 1.0, -0.5, 1.5):
+        with pytest.raises(ValidationError, match="frac"):
+            _rate_config(frac=frac)
+    with pytest.raises(ValidationError, match="too small"):
+        _rate_config(n_grid=(20, 40), frac=0.15)  # 3 rows of 20
+    assert _rate_config(n_grid=(20, 40), frac=0.2).frac == 0.2  # 4 rows of 20
+
+
 def test_rate_study_zero_noise():
     result = run_rate_study(_rate_config(trials=1, sigma=0.0))
     assert all(stats.mean == 0.0 for stats in result.per_n.values())

@@ -1,34 +1,13 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
-from cpkmeans._kernels import (
-    HAVE_NUMBA,
-    NUMBA_ENABLED,
-    objective_table_numba,
-    objective_table_numpy,
-)
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
-def test_paths_agree():
-    rng = np.random.default_rng(50)
-    for n, d in [(4, 1), (4, 7), (10, 1), (30, 12), (100, 40)]:
-        y = rng.normal(size=(n, d))
-        a = objective_table_numba(y)
-        b = objective_table_numpy(y)
-        assert a.shape == (d, n - 3)
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
-        assert np.array_equal(a.argmin(axis=1), b.argmin(axis=1))
+from cpkmeans._kernels import objective_table, subsample_argmins
 
 
 def test_table_matches_direct_sse():
     rng = np.random.default_rng(51)
     y = rng.normal(size=(9, 4))
-    table = objective_table_numpy(y)
+    table = objective_table(y)
     for t in range(1, 5):
         for k in range(2, 8):
             first, second = y[:k, :t], y[k:, :t]
@@ -36,17 +15,54 @@ def test_table_matches_direct_sse():
             assert table[t - 1, k - 2] == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
 
-def test_env_flag_selects_numpy_path():
-    env = dict(os.environ, CPKMEANS_NO_NUMBA="1")
-    code = (
-        "from cpkmeans import _kernels as k;"
-        "assert not k.NUMBA_ENABLED;"
-        "assert k.objective_table is k.objective_table_numpy"
-    )
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+def _per_subset_argmins(values, rows):
+    return np.stack([np.argmin(objective_table(values[r]), axis=1) for r in rows])
 
 
-def test_default_path_prefers_numba():
-    if os.environ.get("CPKMEANS_NO_NUMBA"):
-        pytest.skip("pure-numpy path forced by environment")
-    assert NUMBA_ENABLED == HAVE_NUMBA
+def _sorted_subsets(rng, n, m, s):
+    return np.stack([np.sort(rng.choice(n, size=m, replace=False)) for _ in range(s)])
+
+
+@pytest.mark.parametrize(
+    "n, d, m, s",
+    [
+        (4, 1, 4, 1),  # one subset, one split column, one coordinate
+        (6, 1, 4, 5),
+        (5, 3, 4, 7),
+        (12, 9, 9, 3),
+        (100, 200, 80, 100),  # the selection study's method-2 shape
+    ],
+)
+def test_subsample_argmins_match_per_subset_tables(n, d, m, s):
+    rng = np.random.default_rng(n * 1000 + d)
+    values = rng.normal(size=(n, d))
+    rows = _sorted_subsets(rng, n, m, s)
+    got = subsample_argmins(values, rows)
+    assert got.shape == (s, d)
+    assert np.array_equal(got, _per_subset_argmins(values, rows))
+
+
+def test_subsample_argmins_exact_ties_keep_first_minimum():
+    # 0/1 data in repeated rows: many table rows reach their minimum at
+    # several splits with bit-equal values, some of them past k = 2.
+    rng = np.random.default_rng(52)
+    base = rng.integers(0, 2, size=(4, 6)).astype(np.float64)
+    values = np.repeat(base, 3, axis=0)
+    rows = _sorted_subsets(rng, values.shape[0], 8, 40)
+    tables = [objective_table(values[r]) for r in rows]
+    tied_late = [
+        ((t == t.min(axis=1, keepdims=True)).sum(axis=1) > 1) & (t.argmin(axis=1) > 0)
+        for t in tables
+    ]
+    assert np.sum(tied_late) > 0
+    assert np.array_equal(subsample_argmins(values, rows), _per_subset_argmins(values, rows))
+
+
+@pytest.mark.parametrize("offset", [1e6, 1e8])
+def test_subsample_argmins_large_offset(offset):
+    # The raw-moment table cancels badly here, so its argmins hinge on
+    # every rounding step; the batched kernel must round the same way.
+    rng = np.random.default_rng(54)
+    values = rng.normal(size=(60, 30)) + offset
+    rows = _sorted_subsets(rng, 60, 48, 20)
+    assert np.array_equal(subsample_argmins(values, rows), _per_subset_argmins(values, rows))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import lepski_bruteforce, two_regime_scores
+from helpers import lepski_bruteforce, method2_loop, two_regime_scores
 
 from cpkmeans import (
     LepskiConfig,
@@ -150,14 +150,14 @@ def test_method2_noiseless_ties_to_one():
         n=10, d=3, tau=0.5, theta_minus=[1.0, 1, 1], theta_plus=[0.0, 0, 0], sigma=0.0
     )
     sample = generate_sample(spec, 9)
-    assert method2_select(sample, 1.0, 5, 0.8, 77) == 1
+    assert method2_select(sample, 5, 0.8, 77) == 1
 
 
 def test_method2_determinism():
     spec = ModelSpec(n=12, d=4, tau=0.5, theta_minus=np.zeros(4), theta_plus=np.ones(4), sigma=1.0)
     sample = generate_sample(spec, 4)
-    a = method2_select(sample, 1.0, 10, 0.8, 123)
-    b = method2_select(sample, 1.0, 10, 0.8, 123)
+    a = method2_select(sample, 10, 0.8, 123)
+    b = method2_select(sample, 10, 0.8, 123)
     assert a == b
 
 
@@ -166,7 +166,7 @@ def test_method2_matches_exhaustive_recomputation():
     spec = ModelSpec(n=10, d=3, tau=0.5, theta_minus=np.zeros(3), theta_plus=np.ones(3), sigma=1.0)
     sample = generate_sample(spec, 30)
     n_sub, frac, seed = 5, 0.8, 2024
-    picked = method2_select(sample, 1.0, n_sub, frac, seed)
+    picked = method2_select(sample, n_sub, frac, seed)
 
     rng = np.random.default_rng(seed)
     m = int(frac * sample.n)
@@ -180,14 +180,28 @@ def test_method2_matches_exhaustive_recomputation():
     assert picked == int(np.argmin(variances)) + 1
 
 
+def test_method2_matches_per_subsample_loop():
+    # The selection study's shape, caseB-like means, over 20 seeds.
+    rng = np.random.default_rng(25)
+    d = 200
+    for seed in range(20):
+        theta_minus = rng.normal(0.0, 1.0 / np.arange(1, d + 1))
+        theta_plus = theta_minus + rng.normal(0.0, 0.3, d)
+        spec = ModelSpec(
+            n=100, d=d, tau=0.3, theta_minus=theta_minus, theta_plus=theta_plus, sigma=1.0
+        )
+        sample = generate_sample(spec, seed)
+        assert method2_select(sample, 100, 0.8, seed) == method2_loop(sample.values, 100, 0.8, seed)
+
+
 def test_method2_validation():
     sample = SignalMatrix(np.zeros((10, 2)))
     with pytest.raises(ValidationError):
-        method2_select(sample, 1.0, 1, 0.8, 0)  # n_sub too small
+        method2_select(sample, 1, 0.8, 0)  # n_sub too small
     with pytest.raises(ValidationError):
-        method2_select(sample, 1.0, 5, 1.0, 0)  # frac out of range
+        method2_select(sample, 5, 1.0, 0)  # frac out of range
     with pytest.raises(ValidationError):
-        method2_select(sample, 1.0, 5, 0.3, 0)  # subsample below 4 rows
+        method2_select(sample, 5, 0.3, 0)  # subsample below 4 rows
 
 
 def test_adaptive_equals_manual_pipeline():

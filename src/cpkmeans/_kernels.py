@@ -1,13 +1,15 @@
-"""Hot numeric kernels: the two-segment SSE table and method 2's split argmins.
+"""Hot numeric kernels: the two-segment SSE table, one row of it, and method 2's argmins.
 
 Every Monte Carlo study in this package reduces to evaluating, for one
 n x d matrix after another, the within-segment sum of squares for every
 split row k in {2, ..., n-2} and every truncation level T in {1, ..., d}.
 ``objective_table`` computes that table for one matrix.
-``subsample_argmins`` computes only the argmin over k of each table row,
-for a whole stack of row subsets at once, with the same arithmetic, so
-its result equals the per-subset argmins of ``objective_table`` bit for
-bit.  ``benchmarks/bench_objective_table.py`` times both.
+``objective_row`` computes only the row of one truncation level T, as a
+fixed-T fit needs.  ``subsample_argmins`` computes only the argmin over k
+of each table row, for a whole stack of row subsets at once.  The two
+partial kernels use the table's arithmetic, so they equal the table's
+row and its per-subset argmins bit for bit.
+``benchmarks/bench_objective_table.py`` times all three.
 """
 
 import numpy as np
@@ -38,6 +40,41 @@ def objective_table(values: np.ndarray) -> np.ndarray:
     head_energy = np.cumsum(head * head, axis=1)
     tail_energy = np.cumsum(tail * tail, axis=1)
     return tss[:, None] - head_energy[ks - 1].T / ks - tail_energy[ks - 1].T / (n - ks)
+
+
+def objective_row(values: np.ndarray, T: int) -> np.ndarray:
+    """Row T of the objective table: every split at one truncation level.
+
+    Parameters
+    ----------
+    values : float64 array of shape (n, d), n >= 4
+    T : int in [1, d]
+
+    Returns
+    -------
+    row : float64 array of shape (n - 3,)
+        Equal, bit for bit, to ``objective_table(values[:, :T])[T - 1]``.
+
+    Works on the first T columns, transposed to (T, n), and adds the
+    energies over T one column at a time: the table's own order.  A
+    numpy reduction over T (``np.sum``, ``np.add.reduce``) may sum
+    pairwise instead, and then the last bits differ.
+    """
+    n = values.shape[0]
+    ks = np.arange(2, n - 1)
+    columns = np.ascontiguousarray(values[:, :T].T)
+    head = np.cumsum(columns, axis=1)
+    tss = np.cumsum(np.cumsum(columns * columns, axis=1)[:, -1])[-1]
+    split_head = head[:, 1 : n - 2]
+    tail = head[:, -1:] - split_head
+    split_head *= split_head
+    tail *= tail
+    head_energy = split_head[0].copy()
+    tail_energy = tail[0].copy()
+    for t in range(1, T):
+        head_energy += split_head[t]
+        tail_energy += tail[t]
+    return tss - head_energy / ks - tail_energy / (n - ks)
 
 
 def subsample_argmins(values: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from pathlib import Path
 
@@ -71,7 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sel = sub.add_parser("select-t", help="select the truncation level for a matrix CSV")
     sel.add_argument("--input", required=True)
-    sel.add_argument("--sigma", type=float, required=True)
+    sel.add_argument(
+        "--sigma", type=float, default=None, help="noise level; lepski and method1 need it"
+    )
     sel.add_argument("--method", required=True, choices=["lepski", "method1", "method2"])
     sel.add_argument("--c-lepski", type=float, default=16.0, dest="c_lepski")
     sel.add_argument("--n-sub", type=int, default=100, dest="n_sub")
@@ -152,11 +155,17 @@ def read_config_file(path) -> dict[str, str]:
             if "=" not in line:
                 raise ValidationError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, value = line.split("=", 1)
-            items[key.strip()] = value.strip()
+            key = key.strip()
+            if key in items:
+                raise ValidationError(f"{path}:{lineno}: repeated key {key!r}")
+            items[key] = value.strip()
     return items
 
 
 def _build_experiment(args) -> tuple[str, ExperimentConfig, int]:
+    max_workers = os.cpu_count() or 1
+    if not 1 <= args.workers <= max_workers:
+        raise ValidationError(f"--workers must lie in [1, {max_workers}], got {args.workers}")
     try:
         raw = read_config_file(args.config)
     except OSError as exc:
@@ -261,11 +270,12 @@ def _run_estimate(args) -> int:
 
 
 def _run_select_t(args) -> int:
+    if args.method != "method2" and args.sigma is None:
+        raise ValidationError(f"--sigma is required for --method {args.method}")
     sample = SignalMatrix(read_matrix_csv(args.input))
     if args.method == "lepski":
         z = surrogate(sample, args.sigma)
-        config = LepskiConfig(c_lepski=args.c_lepski, sigma=args.sigma)
-        t_hat = lepski_select(z, config, sample.n, sample.d)
+        t_hat = lepski_select(z, LepskiConfig(c_lepski=args.c_lepski), sample.n, sample.d)
     elif args.method == "method1":
         t_hat = method1_select(surrogate(sample, args.sigma))
     else:

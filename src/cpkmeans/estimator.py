@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import objective_table
+from ._kernels import objective_row, objective_table
 from .errors import ValidationError
 from .model import SignalMatrix
 
@@ -97,11 +97,10 @@ def _fit_from_row(row: np.ndarray, n: int, T: int) -> ChangePointFit:
 def estimate_tau(Y: SignalMatrix, T: int) -> ChangePointFit:
     """Minimize the objective over k in {2, ..., n-2} at truncation level T."""
     _check_t(Y, T)
-    # The table on the T-truncated matrix reproduces, bit for bit, row T of
-    # the full table used by sweep_estimate, so single fits and sweeps agree
-    # exactly.
-    table = objective_table(np.ascontiguousarray(Y.values[:, :T]))
-    return _fit_from_row(table[T - 1], Y.n, T)
+    # One row of the objective table, summed in the table's order, so it
+    # reproduces row T of the full table used by sweep_estimate bit for bit
+    # and single fits and sweeps agree exactly.
+    return _fit_from_row(objective_row(Y.values, T), Y.n, T)
 
 
 def sweep_estimate(Y: SignalMatrix, T_list) -> list[ChangePointFit]:

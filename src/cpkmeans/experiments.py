@@ -47,6 +47,13 @@ class MeanCase(str, Enum):
     CASE_B = "caseB"
 
 
+def _check_distinct(name: str, grid: tuple[int, ...]):
+    # A repeated grid point reruns the same seeded trials and counts them twice.
+    repeated = sorted({x for x in grid if grid.count(x) > 1})
+    if repeated:
+        raise ValidationError(f"{name} repeats {repeated}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Grid and tuning for one study; every field has a config-file twin."""
@@ -70,8 +77,15 @@ class ExperimentConfig:
         object.__setattr__(self, "case", MeanCase(self.case))
         if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
+        if self.d < 1:
+            raise ValidationError(f"d must be >= 1, got {self.d}")
+        if not 0.0 < self.tau < 1.0:
+            raise ValidationError(f"tau must lie in (0, 1), got {self.tau}")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
+            raise ValidationError(f"sigma must be finite and >= 0, got {self.sigma}")
         if not self.n_grid:
             raise ValidationError("n_grid must be non-empty")
+        _check_distinct("n_grid", self.n_grid)
         for n in self.n_grid:
             if n < 4:
                 raise ValidationError(f"every n must be >= 4, got {n}")
@@ -80,6 +94,7 @@ class ExperimentConfig:
             subsample_size(n, self.n_sub, self.frac)
         if not self.t_grid:
             raise ValidationError("t_grid must be non-empty")
+        _check_distinct("t_grid", self.t_grid)
         for t in self.t_grid:
             if not 1 <= t <= self.d:
                 raise ValidationError(f"every T must lie in [1, {self.d}], got {t}")

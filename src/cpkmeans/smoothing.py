@@ -56,7 +56,6 @@ class LepskiConfig:
     """
 
     c_lepski: float = 16.0
-    sigma: float = 1.0
     log_scale: float | None = None
 
     def __post_init__(self):

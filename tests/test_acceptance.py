@@ -116,7 +116,7 @@ def test_criterion_3_lepski_definitional_oracle():
         nu_sq = sigma * sigma / n
         c_l = float(rng.uniform(1.0, 32.0))
         fast = lepski_select(
-            SurrogateVector(z=zv, nu_sq=nu_sq), LepskiConfig(c_lepski=c_l, sigma=sigma), n, d
+            SurrogateVector(z=zv, nu_sq=nu_sq), LepskiConfig(c_lepski=c_l), n, d
         )
         assert fast == lepski_bruteforce(zv, nu_sq, c_l, n, d)
     _report(

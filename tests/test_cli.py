@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,25 @@ def test_select_t_method2_deterministic(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_select_t_method2_needs_no_sigma(tmp_path, capsys):
+    rng = np.random.default_rng(72)
+    path = tmp_path / "y.csv"
+    write_matrix_csv(path, rng.normal(size=(20, 5)))
+    args = ["select-t", "--input", str(path), "--method", "method2", "--n-sub", "8"]
+    assert main(args) == EXIT_OK
+    without = capsys.readouterr().out
+    assert main(args + ["--sigma", "1.0"]) == EXIT_OK
+    assert capsys.readouterr().out == without
+
+
+@pytest.mark.parametrize("method", ["lepski", "method1"])
+def test_select_t_surrogate_methods_require_sigma(tmp_path, capsys, method):
+    path = tmp_path / "y.csv"
+    write_matrix_csv(path, np.zeros((6, 4)))
+    assert main(["select-t", "--input", str(path), "--method", method]) == EXIT_VALIDATION
+    assert "--sigma" in capsys.readouterr().err
+
+
 def test_estimate_validation_exit(tmp_path, capsys):
     path = tmp_path / "y.csv"
     write_matrix_csv(path, np.zeros((6, 2)))
@@ -181,6 +202,27 @@ def test_experiment_bad_subsampling_is_rejected_before_trials(tmp_path, capsys, 
     args = ["experiment", "--config", str(cfg), "--out", str(out), "--workers", "1"]
     assert main(args) == EXIT_VALIDATION
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_experiment_repeated_config_key_is_rejected(tmp_path, capsys):
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text(RATE_CFG + "tau=0.5\n")
+    out = tmp_path / "run"
+    assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    assert f"{cfg}:11: repeated key 'tau'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", [0, -1, (os.cpu_count() or 1) + 1, 10**6])
+def test_experiment_worker_count_out_of_range_is_rejected(tmp_path, capsys, workers):
+    # Rejected while the invocation is checked, so no worker process starts.
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text(RATE_CFG)
+    out = tmp_path / "run"
+    args = ["experiment", "--config", str(cfg), "--out", str(out), "--workers", str(workers)]
+    assert main(args) == EXIT_VALIDATION
+    assert "--workers" in capsys.readouterr().err
     assert not out.exists()
 
 

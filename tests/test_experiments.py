@@ -117,6 +117,18 @@ def test_config_validation():
         _rate_config(t_grid=(25,))
     with pytest.raises(ValidationError):
         run_rate_study(_rate_config(case=MeanCase.CASE_A, n_grid=(20,)))
+    with pytest.raises(ValidationError, match="d must be"):
+        _rate_config(d=0, t_grid=(1,))
+    for tau in (0.0, 1.0, -0.3, 1.5, math.nan):
+        with pytest.raises(ValidationError, match="tau must"):
+            _rate_config(tau=tau)
+    for sigma in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="sigma"):
+            _rate_config(sigma=sigma)
+    with pytest.raises(ValidationError, match=r"t_grid repeats \[5\]"):
+        _rate_config(t_grid=(5, 5, 6))
+    with pytest.raises(ValidationError, match=r"n_grid repeats \[20\]"):
+        _rate_config(n_grid=(20, 40, 20))
 
 
 def test_config_rejects_bad_subsampling():

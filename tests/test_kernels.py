@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cpkmeans._kernels import objective_table, subsample_argmins
+from cpkmeans._kernels import objective_row, objective_table, subsample_argmins
 
 
 def test_table_matches_direct_sse():
@@ -66,3 +66,50 @@ def test_subsample_argmins_large_offset(offset):
     values = rng.normal(size=(60, 30)) + offset
     rows = _sorted_subsets(rng, 60, 48, 20)
     assert np.array_equal(subsample_argmins(values, rows), _per_subset_argmins(values, rows))
+
+
+def _truncated_table_row(values, T):
+    return objective_table(np.ascontiguousarray(values[:, :T]))[T - 1]
+
+
+@pytest.mark.parametrize(
+    "n, d",
+    [
+        (4, 1),  # a single split
+        (4, 7),
+        (5, 3),
+        (37, 12),
+        (500, 20),  # the rate study's shapes
+        (1000, 20),
+        (2000, 20),
+        (4000, 20),
+    ],
+)
+def test_objective_row_matches_truncated_table(n, d):
+    rng = np.random.default_rng(n * 100 + d)
+    values = rng.normal(size=(n, d))
+    for T in sorted({1, min(10, d), d}):
+        row = objective_row(values, T)
+        assert row.shape == (n - 3,)
+        assert np.array_equal(row, _truncated_table_row(values, T))
+
+
+def test_objective_row_exact_ties():
+    # 0/1 data in repeated rows: rows of the table with bit-equal minima at
+    # several splits, so any reordering of the sums would show.
+    rng = np.random.default_rng(55)
+    values = np.repeat(rng.integers(0, 2, size=(5, 8)).astype(np.float64), 4, axis=0)
+    tied = 0
+    for T in range(1, 9):
+        row = objective_row(values, T)
+        tied += int((row == row.min()).sum() > 1)
+        assert np.array_equal(row, _truncated_table_row(values, T))
+    assert tied > 0
+
+
+@pytest.mark.parametrize("offset", [1e6, 1e8])
+def test_objective_row_large_offset(offset):
+    rng = np.random.default_rng(56)
+    values = rng.normal(size=(200, 50)) + offset
+    for T in (1, 10, 37, 50):
+        assert np.array_equal(objective_row(values, T), _truncated_table_row(values, T))

@@ -75,7 +75,7 @@ def test_lepski_spike():
     zv = np.zeros(10)
     zv[4] = 100.0  # coordinate 5; every window containing it violates the threshold
     z = SurrogateVector(z=zv, nu_sq=0.01)
-    assert lepski_select(z, LepskiConfig(c_lepski=16.0, sigma=1.0), 100, 10) == 6
+    assert lepski_select(z, LepskiConfig(c_lepski=16.0), 100, 10) == 6
     assert lepski_bruteforce(zv, 0.01, 16.0, 100, 10) == 6
 
 
@@ -102,7 +102,7 @@ def test_lepski_matches_bruteforce_random():
         c_l = float(rng.uniform(1.0, 32.0))
         nu_sq = sigma**2 / n
         fast = lepski_select(
-            SurrogateVector(z=zv, nu_sq=nu_sq), LepskiConfig(c_lepski=c_l, sigma=sigma), n, d
+            SurrogateVector(z=zv, nu_sq=nu_sq), LepskiConfig(c_lepski=c_l), n, d
         )
         assert fast == lepski_bruteforce(zv, nu_sq, c_l, n, d)
 
@@ -207,7 +207,7 @@ def test_method2_validation():
 def test_adaptive_equals_manual_pipeline():
     rng = np.random.default_rng(24)
     y = SignalMatrix(rng.normal(size=(20, 8)))
-    config = LepskiConfig(c_lepski=4.0, sigma=1.0)
+    config = LepskiConfig(c_lepski=4.0)
     fit = estimate_adaptive(y, 1.0, config)
     t_hat = lepski_select(surrogate(y, 1.0), config, y.n, y.d)
     manual = estimate_tau(y, t_hat)

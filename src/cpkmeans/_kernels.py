@@ -3,12 +3,15 @@
 Every Monte Carlo study in this package reduces to evaluating, for one
 n x d matrix after another, the within-segment sum of squares for every
 split row k in {2, ..., n-2} and every truncation level T in {1, ..., d}.
-``objective_table`` computes that table for one matrix.
-``objective_row`` computes only the row of one truncation level T, as a
-fixed-T fit needs.  ``subsample_argmins`` computes only the argmin over k
-of each table row, for a whole stack of row subsets at once.  The two
-partial kernels use the table's arithmetic, so they equal the table's
-row and its per-subset argmins bit for bit.
+``objective_table`` computes that table for one matrix, in (k, T)
+layout with in-place arithmetic, and returns its (T, k) transpose as a
+view; ``sweep_estimate`` marks it read-only and hands out its rows
+without copying them.  ``objective_row`` computes only the row of one
+truncation level T, as a fixed-T fit needs.  ``subsample_argmins``
+computes only the argmin over k of each table row, for a whole stack of
+row subsets at once.  The two partial kernels use the table's
+arithmetic, so they equal the table's row and its per-subset argmins
+bit for bit.
 ``benchmarks/bench_objective_table.py`` times all three.
 """
 
@@ -27,19 +30,36 @@ def objective_table(values: np.ndarray) -> np.ndarray:
     table : float64 array of shape (d, n - 3)
         ``table[T - 1, k - 2]`` is the total squared deviation of rows
         1..k from their mean plus rows k+1..n from theirs, restricted to
-        the first T coordinates.
+        the first T coordinates.  It is the transpose of a C-ordered
+        (n - 3, d) block, so each row is a strided view of it.
+
+    The table is built in (k, T) layout over the split rows only, in
+    three (n, d)-sized buffers, with in-place squares, running sums,
+    divisions and subtractions.  Each element still goes through
+    ``tss - head / k - tail / (n - k)`` in that order, so the result is
+    bit-identical to the direct (T, k) formula,
+    ``tests/helpers.objective_table_reference``.
     """
     n = values.shape[0]
-    ks = np.arange(2, n - 1)
-    head = np.cumsum(values, axis=0)
-    tail = head[-1] - head
+    ks = np.arange(2, n - 1)[:, None]
     # Column totals via cumsum, not einsum/sum: their accumulation order is
     # shape-independent, so the table of a column-truncated matrix matches
     # the corresponding rows of the full table bit for bit.
-    tss = np.cumsum(np.cumsum(values * values, axis=0)[-1])
-    head_energy = np.cumsum(head * head, axis=1)
-    tail_energy = np.cumsum(tail * tail, axis=1)
-    return tss[:, None] - head_energy[ks - 1].T / ks - tail_energy[ks - 1].T / (n - ks)
+    squares = values * values
+    np.cumsum(squares, axis=0, out=squares)
+    tss = np.cumsum(squares[-1])
+    head = np.cumsum(values, axis=0)
+    out = head[1 : n - 2]
+    tail = head[-1] - out
+    out *= out
+    tail *= tail
+    np.cumsum(out, axis=1, out=out)
+    np.cumsum(tail, axis=1, out=tail)
+    out /= ks
+    tail /= n - ks
+    np.subtract(tss, out, out=out)
+    out -= tail
+    return out.T
 
 
 def objective_row(values: np.ndarray, T: int) -> np.ndarray:

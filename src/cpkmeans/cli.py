@@ -26,6 +26,7 @@ import numpy as np
 from .errors import ValidationError
 from .estimator import estimate_tau
 from .experiments import (
+    _SEED_CAP,
     ExperimentConfig,
     MeanCase,
     RateStudyResult,
@@ -40,8 +41,6 @@ from .experiments import (
 )
 from .model import ModelSpec, SignalMatrix, generate_sample
 from .smoothing import LepskiConfig, lepski_select, method1_select, method2_select, surrogate
-
-_SEED_CAP = 2**63 - 1
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -73,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     sel = sub.add_parser("select-t", help="select the truncation level for a matrix CSV")
     sel.add_argument("--input", required=True)
     sel.add_argument(
-        "--sigma", type=float, default=None, help="noise level; lepski and method1 need it"
+        "--sigma", type=float, default=None, help="noise level; lepski needs it"
     )
     sel.add_argument("--method", required=True, choices=["lepski", "method1", "method2"])
     sel.add_argument("--c-lepski", type=float, default=16.0, dest="c_lepski")
@@ -207,15 +206,30 @@ _SUMMARY_HEADER = [
 ]
 
 
+class _Formatted(dict):
+    """Float -> ``_fmt`` text, formatted on first lookup."""
+
+    def __missing__(self, x):
+        text = self[x] = _fmt(x)
+        return text
+
+
 def _write_records(path, records):
+    # A sweep writes hundreds of thousands of float cells but only about 150
+    # distinct values (tau_true is fixed, tau_hat is k / n), so each
+    # distinct value is formatted once per call.  Keying on the float is
+    # exact: the only equal floats that repr tells apart are 0.0 and -0.0,
+    # and none of these fields is ever -0.0 (abs_error is an abs, the taus
+    # lie in (0, 1)).
+    text = _Formatted()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_RECORD_HEADER)
-        for r in records:
-            writer.writerow(
-                [r.trial_index, r.n, r.T, _fmt(r.tau_true), _fmt(r.tau_hat),
-                 _fmt(r.abs_error), r.selector]
-            )
+        writer.writerows(
+            [r.trial_index, r.n, r.T, text[r.tau_true], text[r.tau_hat],
+             text[r.abs_error], r.selector]
+            for r in records
+        )
 
 
 def _summary_row(stats):
@@ -270,14 +284,15 @@ def _run_estimate(args) -> int:
 
 
 def _run_select_t(args) -> int:
-    if args.method != "method2" and args.sigma is None:
-        raise ValidationError(f"--sigma is required for --method {args.method}")
+    if args.method == "lepski" and args.sigma is None:
+        raise ValidationError("--sigma is required for --method lepski")
     sample = SignalMatrix(read_matrix_csv(args.input))
     if args.method == "lepski":
         z = surrogate(sample, args.sigma)
         t_hat = lepski_select(z, LepskiConfig(c_lepski=args.c_lepski), sample.n, sample.d)
     elif args.method == "method1":
-        t_hat = method1_select(surrogate(sample, args.sigma))
+        # Method 1 reads only the surrogate's z, which does not depend on sigma.
+        t_hat = method1_select(surrogate(sample, 1.0))
     else:
         t_hat = method2_select(sample, args.n_sub, args.frac, args.seed)
     print(t_hat)

@@ -30,7 +30,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ChangePointFit:
-    """Result of one fit: chosen split, its fraction, and the full per-k criterion."""
+    """Result of one fit: chosen split, its fraction, and the full per-k criterion.
+
+    ``objective`` is read-only.  A fit from ``sweep_estimate`` holds a view
+    of the sweep's shared objective table, not a copy of its row.
+    """
 
     k_hat: int
     tau_hat: float
@@ -87,28 +91,35 @@ def objective_bruteforce(Y: SignalMatrix, T: int, k: int) -> float:
     )
 
 
-def _fit_from_row(row: np.ndarray, n: int, T: int) -> ChangePointFit:
-    k_hat = int(np.argmin(row)) + 2  # first minimum: ties break to the smallest k
-    trace = row.copy()
-    trace.flags.writeable = False
-    return ChangePointFit(k_hat=k_hat, tau_hat=k_hat / n, T_used=T, objective=trace)
-
-
 def estimate_tau(Y: SignalMatrix, T: int) -> ChangePointFit:
     """Minimize the objective over k in {2, ..., n-2} at truncation level T."""
     _check_t(Y, T)
     # One row of the objective table, summed in the table's order, so it
     # reproduces row T of the full table used by sweep_estimate bit for bit
-    # and single fits and sweeps agree exactly.
-    return _fit_from_row(objective_row(Y.values, T), Y.n, T)
+    # and single fits and sweeps agree exactly.  The row is a fresh array.
+    row = objective_row(Y.values, T)
+    row.flags.writeable = False
+    k_hat = int(np.argmin(row)) + 2  # first minimum: ties break to the smallest k
+    return ChangePointFit(k_hat=k_hat, tau_hat=k_hat / Y.n, T_used=T, objective=row)
 
 
 def sweep_estimate(Y: SignalMatrix, T_list) -> list[ChangePointFit]:
-    """Fit every requested truncation level off one shared objective table."""
+    """Fit every requested truncation level off one shared objective table.
+
+    The table is made read-only, every k_hat comes from one argmin over
+    the requested rows (first minimum, as in ``estimate_tau``), and each
+    fit's ``objective`` is a view of its table row.
+    """
     ts = [int(t) for t in T_list]
     if not ts:
         raise ValidationError("T_list must be non-empty")
-    for t in ts:
-        _check_t(Y, t)
+    _check_t(Y, min(ts))
+    _check_t(Y, max(ts))
     table = objective_table(np.ascontiguousarray(Y.values))
-    return [_fit_from_row(table[t - 1], Y.n, t) for t in ts]
+    table.flags.writeable = False
+    k_hats = (table[np.array(ts) - 1].argmin(axis=1) + 2).tolist()
+    n = Y.n
+    return [
+        ChangePointFit(k_hat=k, tau_hat=k / n, T_used=t, objective=table[t - 1])
+        for t, k in zip(ts, k_hats)
+    ]

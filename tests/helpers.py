@@ -2,7 +2,8 @@
 
 These deliberately avoid the package's fast paths: the Lepski oracle
 enumerates every (k, m, j) window literally, the two-regime oracle
-evaluates the split criterion segment by segment, and the method-2
+evaluates the split criterion segment by segment, the table reference
+is the objective table's direct (T, k) formula, and the method-2
 oracle builds one full objective table per subsample.
 """
 
@@ -58,3 +59,19 @@ def method2_loop(values: np.ndarray, n_sub: int, frac: float, seed: int) -> int:
         table = objective_table(np.ascontiguousarray(values[idx]))
         tau_hats[s] = (np.argmin(table, axis=1) + 2) / m
     return int(np.argmin(tau_hats.var(axis=0, ddof=1))) + 1
+
+
+def objective_table_reference(values: np.ndarray) -> np.ndarray:
+    """The objective table by its direct (T, k) formula, in fresh arrays.
+
+    ``objective_table`` must equal this bit for bit: it applies the same
+    operations to every element in the same order, in (k, T) layout.
+    """
+    n = values.shape[0]
+    ks = np.arange(2, n - 1)
+    head = np.cumsum(values, axis=0)
+    tail = head[-1] - head
+    tss = np.cumsum(np.cumsum(values * values, axis=0)[-1])
+    head_energy = np.cumsum(head * head, axis=1)
+    tail_energy = np.cumsum(tail * tail, axis=1)
+    return tss[:, None] - head_energy[ks - 1].T / ks - tail_energy[ks - 1].T / (n - ks)

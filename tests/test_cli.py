@@ -1,3 +1,4 @@
+import csv
 import os
 
 import numpy as np
@@ -7,12 +8,15 @@ from cpkmeans.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_VALIDATION,
+    _fmt,
+    _write_records,
     main,
     parse_invocation,
     read_matrix_csv,
     run,
     write_matrix_csv,
 )
+from cpkmeans.experiments import ExperimentConfig, run_selection_comparison, run_t_sweep_study
 
 
 def test_parse_estimate_invocation():
@@ -108,12 +112,28 @@ def test_select_t_method2_needs_no_sigma(tmp_path, capsys):
     assert capsys.readouterr().out == without
 
 
-@pytest.mark.parametrize("method", ["lepski", "method1"])
-def test_select_t_surrogate_methods_require_sigma(tmp_path, capsys, method):
+def test_select_t_lepski_requires_sigma(tmp_path, capsys):
     path = tmp_path / "y.csv"
     write_matrix_csv(path, np.zeros((6, 4)))
-    assert main(["select-t", "--input", str(path), "--method", method]) == EXIT_VALIDATION
+    assert main(["select-t", "--input", str(path), "--method", "lepski"]) == EXIT_VALIDATION
     assert "--sigma" in capsys.readouterr().err
+
+
+def test_select_t_method1_ignores_sigma(tmp_path, capsys):
+    # Method 1 reads only the surrogate's z, which sigma does not change.
+    rng = np.random.default_rng(73)
+    path = tmp_path / "y.csv"
+    values = rng.normal(size=(30, 12))
+    values[15:, :4] += 2.0
+    write_matrix_csv(path, values)
+    args = ["select-t", "--input", str(path), "--method", "method1"]
+    outputs = []
+    for extra in ([], ["--sigma", "1.0"], ["--sigma", "5.0"]):
+        assert main(args + extra) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0].strip().isdigit()
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
 
 
 def test_estimate_validation_exit(tmp_path, capsys):
@@ -237,6 +257,32 @@ def test_experiment_sweep_config_range_syntax(tmp_path, capsys):
     assert "t_star=" in capsys.readouterr().out
     rows = (out / "summary.csv").read_text().strip().splitlines()
     assert len(rows) == 1 + 25
+
+
+def _write_records_per_row(path, records):
+    # The plain writer: every float formatted where it is written.
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["trial_index", "n", "T", "tau_true", "tau_hat", "abs_error", "selector"])
+        for r in records:
+            writer.writerow(
+                [r.trial_index, r.n, r.T, _fmt(r.tau_true), _fmt(r.tau_hat),
+                 _fmt(r.abs_error), r.selector]
+            )
+
+
+@pytest.mark.parametrize("study", ["sweep", "selection"])
+def test_write_records_matches_per_row_writer(tmp_path, study):
+    config = ExperimentConfig(
+        base_seed=4, trials=3, n_grid=(20,), d=25, sigma=1.0, tau=0.3, case="caseB",
+        t_grid=tuple(range(1, 26)), n_sub=6, t_star=5,
+    )
+    runner = run_t_sweep_study if study == "sweep" else run_selection_comparison
+    records = runner(config).records
+    assert len(records) == (75 if study == "sweep" else 9)
+    _write_records(tmp_path / "fast.csv", records)
+    _write_records_per_row(tmp_path / "plain.csv", records)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 
 def test_run_dispatch_uses_namespace():

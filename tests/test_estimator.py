@@ -12,6 +12,7 @@ from cpkmeans import (
     objective_bruteforce,
     sweep_estimate,
 )
+from cpkmeans._kernels import objective_table
 
 STEP = SignalMatrix(np.array([[0.0], [0.0], [1.0], [1.0]]))
 
@@ -125,6 +126,45 @@ def test_sweep_matches_independent_fits_exactly():
         assert np.array_equal(fit.objective, single.objective)
 
 
+def test_sweep_argmins_match_table_rows_with_ties():
+    # The sweep study's 100 x 200 shape, on 0/1 rows followed by their
+    # mirror image: splits k and n - k then often tie bit for bit, so many
+    # rows of the table reach their minimum at several splits.
+    rng = np.random.default_rng(19)
+    half = rng.integers(0, 2, size=(50, 200)).astype(np.float64)
+    values = np.vstack([half, half[::-1]])
+    y = SignalMatrix(values)
+    table = objective_table(values)
+    assert sum(int((row == row.min()).sum() > 1) for row in table) > 20
+    fits = sweep_estimate(y, range(1, 201))
+    assert len(fits) == 200
+    for t, fit in zip(range(1, 201), fits):
+        assert fit.k_hat == int(np.argmin(table[t - 1])) + 2
+        assert fit.tau_hat == fit.k_hat / 100
+        assert fit.T_used == t
+
+
+def test_fit_objective_is_read_only():
+    rng = np.random.default_rng(20)
+    y = _random_matrix(rng, n=15, d=6)
+    fits = [estimate_tau(y, 3)] + sweep_estimate(y, [1, 6])
+    for fit in fits:
+        assert not fit.objective.flags.writeable
+        with pytest.raises(ValueError):
+            fit.objective[0] = 0.0
+
+
+def test_sweep_keeps_order_and_repeats():
+    rng = np.random.default_rng(21)
+    y = _random_matrix(rng, n=18, d=4)
+    fits = sweep_estimate(y, [3, 1, 3])
+    assert [fit.T_used for fit in fits] == [3, 1, 3]
+    for fit in fits:
+        single = estimate_tau(y, fit.T_used)
+        assert fit.k_hat == single.k_hat
+        assert np.array_equal(fit.objective, single.objective)
+
+
 def test_sweep_noiseless_recovers_tau_everywhere():
     rng = np.random.default_rng(15)
     tm = rng.normal(size=6)
@@ -138,6 +178,10 @@ def test_sweep_validation():
         sweep_estimate(STEP, [])
     with pytest.raises(ValidationError):
         sweep_estimate(STEP, [2])
+    y = SignalMatrix(np.zeros((6, 3)))
+    for bad in ([2, 0, 1], [1, 4, 2]):
+        with pytest.raises(ValidationError):
+            sweep_estimate(y, bad)
 
 
 def test_zero_noise_exactness_random_specs():

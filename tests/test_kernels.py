@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cpkmeans._kernels import objective_row, objective_table, subsample_argmins
+from helpers import objective_table_reference
 
 
 def test_table_matches_direct_sse():
@@ -13,6 +14,34 @@ def test_table_matches_direct_sse():
             first, second = y[:k, :t], y[k:, :t]
             direct = ((first - first.mean(0)) ** 2).sum() + ((second - second.mean(0)) ** 2).sum()
             assert table[t - 1, k - 2] == pytest.approx(direct, rel=1e-10, abs=1e-12)
+
+
+def _fuzz_matrices():
+    rng = np.random.default_rng(50)
+    yield rng.normal(size=(4, 1))  # a single split, a single coordinate
+    yield rng.normal(size=(4, 9))
+    yield rng.normal(size=(9, 1))
+    yield rng.normal(size=(100, 200))  # the sweep study's shape
+    for _ in range(40):
+        n, d = int(rng.integers(4, 120)), int(rng.integers(1, 40))
+        yield rng.normal(size=(n, d))
+        # 0/1 rows and their mirror image: table rows with bit-equal minima.
+        half = rng.integers(0, 2, size=(n, d)).astype(np.float64)
+        yield np.vstack([half, half[::-1]])
+        for offset in (1e6, 1e8):
+            yield rng.normal(size=(n, d)) + offset
+
+
+def test_table_matches_reference_formula_exactly():
+    late_ties = 0
+    for values in _fuzz_matrices():
+        table = objective_table(values)
+        assert table.shape == (values.shape[1], values.shape[0] - 3)
+        assert np.array_equal(table, objective_table_reference(values))
+        minima = table == table.min(axis=1, keepdims=True)
+        late_ties += int(np.sum((minima.sum(axis=1) > 1) & (table.argmin(axis=1) > 0)))
+    # The mirrored 0/1 matrices reach bit-equal minima past k = 2.
+    assert late_ties > 0
 
 
 def _per_subset_argmins(values, rows):

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Times the objective-table kernel, its one-row kernel and method 2's batched kernel.
+"""Times the objective-table kernel, its one-row kernel, method 2's batched kernel and method 1.
 
 Usage:
     python benchmarks/bench_objective_table.py [--repeats 30]
@@ -7,13 +7,16 @@ Usage:
 The (n, d) grid covers the shapes the Monte Carlo studies hit: long-thin
 (rate study), short-wide (selector and sweep studies), and the method-2
 subsample shape that dominates the selection comparison.  The table rows
-time ``objective_table``, built in (k, T) layout in place, against an
-inline copy of the direct (T, k) formula it replaced.  The fixed-T rows time
-``objective_row`` against the table of the T-truncated matrix at the
-rate study's T = 10, as ``estimate_tau`` used to build it.  The last row
-times one method-2 call's worth of work, 100 sorted subsets of 80 of 100
-rows at d = 200, as ``subsample_argmins`` against a loop of
-``objective_table`` calls.  Every comparison prints MISMATCH if the two
+time ``objective_table``, the centred CUSUM table built in (k, T) layout
+in place, against an inline copy of its direct (T, k) formula.  The
+fixed-T rows time ``objective_row`` against the table of the T-truncated
+matrix at the rate study's T = 10, as ``estimate_tau`` used to build it.
+The method-2 row times one method-2 call's worth of work, 100 sorted
+subsets of 80 of 100 rows at d = 200, as ``subsample_argmins`` against a
+loop of ``objective_table`` calls.  The method-1 row times the closed-form
+``method1_select`` against the O(d^2) loop it replaced, on the surrogates
+of 60 caseB samples at the selection study's 100 x 200 shape, and
+compares the T each picks.  Every comparison prints MISMATCH if the two
 sides differ, and the script then exits with status 1.
 """
 
@@ -23,6 +26,14 @@ import time
 
 import numpy as np
 
+from cpkmeans import (
+    MeanCase,
+    ModelSpec,
+    generate_sample,
+    method1_select,
+    sample_case_means,
+    surrogate,
+)
 from cpkmeans._kernels import objective_row, objective_table, subsample_argmins
 
 SHAPES = [(500, 20), (4000, 20), (100, 200), (80, 200)]
@@ -39,15 +50,47 @@ def best_of(fn, args, repeats):
 
 
 def table_reference(values):
-    """The objective table by the direct (T, k) formula, in fresh arrays."""
+    """The centred objective table by its direct (T, k) formula, in fresh arrays."""
     n = values.shape[0]
     ks = np.arange(2, n - 1)
-    head = np.cumsum(values, axis=0)
-    tail = head[-1] - head
-    tss = np.cumsum(np.cumsum(values * values, axis=0)[-1])
-    head_energy = np.cumsum(head * head, axis=1)
-    tail_energy = np.cumsum(tail * tail, axis=1)
-    return tss[:, None] - head_energy[ks - 1].T / ks - tail_energy[ks - 1].T / (n - ks)
+    x = values - values[0]
+    prefix = np.cumsum(x, axis=0)
+    total = prefix[-1]
+    squares = np.add.reduce(np.ascontiguousarray((x * x).T), axis=1)
+    tss = np.cumsum(squares - total * total / n)
+    cusum = prefix[ks - 1].T - total[:, None] * (ks / n)
+    energy = np.cumsum(cusum * cusum, axis=0)
+    return tss[:, None] - energy * (n / (ks * (n - ks)))
+
+
+def method1_loop(z):
+    """Method 1 as the loop it replaced: each T's two-regime SSE from scratch."""
+    zv = z.z
+    d = zv.size
+    scores = np.empty(d)
+    for t in range(1, d + 1):
+        head = zv[:t] - zv[:t].mean()
+        score = head @ head
+        if t < d:
+            tail = zv[t:] - zv[t:].mean()
+            score += tail @ tail
+        scores[t - 1] = score
+    return int(np.argmin(scores)) + 1
+
+
+def caseb_surrogates(rng, count):
+    out = []
+    for seed in range(count):
+        theta_minus, theta_plus = sample_case_means(MeanCase.CASE_B, 200, rng)
+        spec = ModelSpec(
+            n=100, d=200, tau=0.3, theta_minus=theta_minus, theta_plus=theta_plus, sigma=1.0
+        )
+        out.append(surrogate(generate_sample(spec, seed), 1.0))
+    return out
+
+
+def run_all(fn, items):
+    return [fn(item) for item in items]
 
 
 def truncated_table_row(values, T):
@@ -100,6 +143,17 @@ def main():
     print(
         f"{f'{s}x({m} of {n})x{d}':<28} {t_loop * 1e3:>8.3f}ms {t_batch * 1e3:>8.3f}ms "
         f"{t_loop / t_batch:>7.1f}x{'' if same else '  MISMATCH'}"
+    )
+
+    zs = caseb_surrogates(rng, 60)
+    t_loop = best_of(run_all, (method1_loop, zs), args.repeats) / len(zs)
+    t_closed = best_of(run_all, (method1_select, zs), args.repeats) / len(zs)
+    same = run_all(method1_loop, zs) == run_all(method1_select, zs)
+    mismatches += not same
+    print(f"\n{'method 1, per surrogate':<28} {'loop':>10} {'closed':>10} {'speedup':>8}")
+    print(
+        f"{f'{len(zs)} caseB, d=200':<28} {t_loop * 1e3:>8.3f}ms {t_closed * 1e3:>8.3f}ms "
+        f"{t_loop / t_closed:>7.1f}x{'' if same else '  MISMATCH'}"
     )
     return 1 if mismatches else 0
 

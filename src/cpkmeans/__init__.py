@@ -10,8 +10,6 @@ associated Monte Carlo studies deterministically.
 from .errors import ValidationError
 from .estimator import (
     ChangePointFit,
-    PrefixSums,
-    build_prefix_sums,
     estimate_tau,
     objective,
     objective_bruteforce,
@@ -71,8 +69,6 @@ __all__ = [
     "rate_psi",
     "sobolev_sup",
     "ChangePointFit",
-    "PrefixSums",
-    "build_prefix_sums",
     "objective",
     "objective_bruteforce",
     "estimate_tau",

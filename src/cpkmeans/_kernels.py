@@ -1,21 +1,43 @@
 """Hot numeric kernels: the two-segment SSE table, one row of it, and method 2's argmins.
 
-Every Monte Carlo study in this package reduces to evaluating, for one
-n x d matrix after another, the within-segment sum of squares for every
-split row k in {2, ..., n-2} and every truncation level T in {1, ..., d}.
-``objective_table`` computes that table for one matrix, in (k, T)
-layout with in-place arithmetic, and returns its (T, k) transpose as a
-view; ``sweep_estimate`` marks it read-only and hands out its rows
-without copying them.  ``objective_row`` computes only the row of one
-truncation level T, as a fixed-T fit needs.  ``subsample_argmins``
-computes only the argmin over k of each table row, for a whole stack of
-row subsets at once.  The two partial kernels use the table's
-arithmetic, so they equal the table's row and its per-subset argmins
-bit for bit.
-``benchmarks/bench_objective_table.py`` times all three.
+Every fit minimises, over the split row k in {2, ..., n-2}, the
+within-segment sum of squares of the first T coordinates.  With each
+column centred, ``c = Y - mean(Y)``, and ``S_k = c_1 + ... + c_k``, it is
+
+    W(k, T) = tss_T - n / (k (n - k)) * sum_{t <= T} S_{k,t}^2,
+
+the total sum of squares less the weighted CUSUM energy (Wang & Samworth
+2018).  A column is centred in two steps that stay exact near a large
+offset: it first loses its first value, giving x; then, with
+``P_k = x_1 + ... + x_k``, ``S_k = P_k - (k / n) P_n`` and
+``tss = sum x^2 - P_n^2 / n``.
+
+``objective_table`` computes W for every (k, T) of one matrix;
+``objective_row`` only the row of one T, as a fixed-T fit needs;
+``subsample_argmins`` only the argmin over k of each row, for a stack
+of row subsets at once.  All three do the same operations in the same
+order (``sum x^2`` is numpy's pairwise sum over one contiguous column,
+whose order depends only on n; P_k and the sums over T are running
+sums), so the partial kernels equal the table's row and its per-subset
+argmins bit for bit.  ``benchmarks/bench_objective_table.py`` times them.
 """
 
 import numpy as np
+
+
+def _shift(columns: np.ndarray) -> np.ndarray:
+    """Subtract each row's first value from a C-ordered (..., n) array, in place.
+
+    Returns each row's sum of squares after the shift.
+    """
+    columns -= columns[..., :1].copy()
+    return np.add.reduce(columns * columns, axis=-1)
+
+
+def _weights(n: int) -> np.ndarray:
+    """CUSUM weights n / (k (n - k)) for the splits k = 2, ..., n - 2."""
+    ks = np.arange(2, n - 1)
+    return n / (ks * (n - ks))
 
 
 def objective_table(values: np.ndarray) -> np.ndarray:
@@ -28,37 +50,25 @@ def objective_table(values: np.ndarray) -> np.ndarray:
     Returns
     -------
     table : float64 array of shape (d, n - 3)
-        ``table[T - 1, k - 2]`` is the total squared deviation of rows
-        1..k from their mean plus rows k+1..n from theirs, restricted to
-        the first T coordinates.  It is the transpose of a C-ordered
+        ``table[T - 1, k - 2]`` is ``W(k, T)``: the total squared deviation
+        of rows 1..k from their mean plus rows k+1..n from theirs, over the
+        first T coordinates.  It is the transpose of a C-ordered
         (n - 3, d) block, so each row is a strided view of it.
-
-    The table is built in (k, T) layout over the split rows only, in
-    three (n, d)-sized buffers, with in-place squares, running sums,
-    divisions and subtractions.  Each element still goes through
-    ``tss - head / k - tail / (n - k)`` in that order, so the result is
-    bit-identical to the direct (T, k) formula,
-    ``tests/helpers.objective_table_reference``.
     """
-    n = values.shape[0]
-    ks = np.arange(2, n - 1)[:, None]
-    # Column totals via cumsum, not einsum/sum: their accumulation order is
-    # shape-independent, so the table of a column-truncated matrix matches
-    # the corresponding rows of the full table bit for bit.
-    squares = values * values
-    np.cumsum(squares, axis=0, out=squares)
-    tss = np.cumsum(squares[-1])
-    head = np.cumsum(values, axis=0)
-    out = head[1 : n - 2]
-    tail = head[-1] - out
+    n, d = values.shape
+    ks = np.arange(2, n - 1)
+    columns = np.array(values.T, order="C")
+    squares = _shift(columns)
+    prefix = np.empty((n, d))
+    np.cumsum(columns.T, axis=0, out=prefix)
+    total = prefix[-1]
+    tss = np.cumsum(squares - total * total / n)
+    out = prefix[1 : n - 2]
+    out -= (ks / n)[:, None] * total
     out *= out
-    tail *= tail
     np.cumsum(out, axis=1, out=out)
-    np.cumsum(tail, axis=1, out=tail)
-    out /= ks
-    tail /= n - ks
+    out *= _weights(n)[:, None]
     np.subtract(tss, out, out=out)
-    out -= tail
     return out.T
 
 
@@ -77,24 +87,22 @@ def objective_row(values: np.ndarray, T: int) -> np.ndarray:
 
     Works on the first T columns, transposed to (T, n), and adds the
     energies over T one column at a time: the table's own order.  A
-    numpy reduction over T (``np.sum``, ``np.add.reduce``) may sum
-    pairwise instead, and then the last bits differ.
+    numpy reduction over T may sum pairwise instead.
     """
     n = values.shape[0]
     ks = np.arange(2, n - 1)
-    columns = np.ascontiguousarray(values[:, :T].T)
-    head = np.cumsum(columns, axis=1)
-    tss = np.cumsum(np.cumsum(columns * columns, axis=1)[:, -1])[-1]
-    split_head = head[:, 1 : n - 2]
-    tail = head[:, -1:] - split_head
-    split_head *= split_head
-    tail *= tail
-    head_energy = split_head[0].copy()
-    tail_energy = tail[0].copy()
+    columns = np.array(values[:, :T].T, order="C")
+    squares = _shift(columns)
+    np.cumsum(columns, axis=1, out=columns)
+    total = columns[:, -1:]
+    tss = np.cumsum(squares - total[:, 0] * total[:, 0] / n)[-1]
+    cusum = columns[:, 1 : n - 2]
+    cusum -= total * (ks / n)
+    cusum *= cusum
+    energy = cusum[0].copy()
     for t in range(1, T):
-        head_energy += split_head[t]
-        tail_energy += tail[t]
-    return tss - head_energy / ks - tail_energy / (n - ks)
+        energy += cusum[t]
+    return tss - energy * _weights(n)
 
 
 def subsample_argmins(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -113,37 +121,35 @@ def subsample_argmins(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
         ``argmin(objective_table(values[rows[i]])[T - 1])`` exactly.
 
     The loop runs over T, one column at a time, for all subsets at once,
-    and keeps (s, m) and (s, d) buffers, never an (s, m, d) stack.  Every
-    sum is accumulated in the same order as in ``objective_table``: down
-    the rows within a column, then across the columns; so the values
-    compared, and hence the first-minimum tie-break, are identical.
+    and keeps (s, m) buffers, never an (s, m, d) stack.  Each subset's
+    column is shifted by its own first value and centred on its own
+    total, in the table's operations and order, so the values compared,
+    and hence the first-minimum tie-break, are identical.  The shifted
+    values are gathered from one small table per column, of the column
+    less each distinct first value, in place of a subtraction per subset.
     """
     s, m = rows.shape
-    d = values.shape[1]
-    ks = np.arange(2, m - 1)
-    rest = m - ks
-    # Per-subset column sums of squares, summed down the sorted rows.
-    sq = values * values
-    col_sq = np.zeros((s, d))
-    for i in range(m):
-        col_sq += sq[rows[:, i]]
-    tss = np.cumsum(col_sq, axis=1)
+    n, d = values.shape
+    ratios = np.arange(2, m - 1) / m
+    weights = np.tile(_weights(m), (s, 1))
+    firsts, slot = np.unique(rows[:, 0], return_inverse=True)
+    index = rows + (slot * n)[:, None]
     columns = np.ascontiguousarray(values.T)
-    head = np.empty((s, m))
-    tail = np.empty((s, m - 3))
-    head_energy = np.zeros((s, m - 3))
-    tail_energy = np.zeros((s, m - 3))
+    tss = np.zeros((s, 1))
+    energy = np.zeros((s, m - 3))
     obj = np.empty((s, m - 3))
-    scratch = np.empty((s, m - 3))
     out = np.empty((d, s), dtype=np.intp)
     for t in range(d):
-        np.cumsum(columns[t][rows], axis=1, out=head)
-        split_head = head[:, 1 : m - 2]
-        np.subtract(head[:, -1:], split_head, out=tail)
-        head_energy += np.multiply(split_head, split_head, out=scratch)
-        tail_energy += np.multiply(tail, tail, out=scratch)
-        np.divide(head_energy, ks, out=obj)
-        np.subtract(tss[:, t : t + 1], obj, out=obj)
-        obj -= np.divide(tail_energy, rest, out=scratch)
-        out[t] = obj.argmin(axis=1)
+        column = columns[t]
+        cusum = (column - column[firsts][:, None]).ravel()[index]
+        squares = np.add.reduce(cusum * cusum, axis=1)
+        np.cumsum(cusum, axis=1, out=cusum)
+        total = cusum[:, -1:]
+        tss[:, 0] += squares - total[:, 0] * total[:, 0] / m
+        np.multiply(total, ratios, out=obj)
+        np.subtract(cusum[:, 1 : m - 2], obj, out=obj)
+        energy += np.multiply(obj, obj, out=obj)
+        np.multiply(energy, weights, out=obj)
+        np.subtract(tss, obj, out=obj)
+        obj.argmin(axis=1, out=out[t])
     return out.T

@@ -2,9 +2,11 @@
 
 The split index is the k in {2, ..., n-2} minimizing the total
 within-segment sum of squares of the first T coordinates; the estimated
-change-point fraction is k / n.  The fast path evaluates all splits via
-prefix sums; ``objective_bruteforce`` recomputes single values by the
-direct mean-then-SSE formula and exists purely to cross-check it.
+change-point fraction is k / n.  Fits read that sum of squares off the
+centred CUSUM kernels in ``_kernels``, which evaluate every split at
+once; ``objective`` gives the same centred value for one split, and
+``objective_bruteforce`` recomputes it by the direct mean-then-SSE
+formula and exists purely to cross-check the kernels.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from .model import SignalMatrix
 
 __all__ = [
     "ChangePointFit",
-    "PrefixSums",
-    "build_prefix_sums",
     "objective",
     "objective_bruteforce",
     "estimate_tau",
@@ -42,21 +42,6 @@ class ChangePointFit:
     objective: np.ndarray  # objective[i] = criterion at split k = i + 2
 
 
-@dataclass(frozen=True)
-class PrefixSums:
-    """Row-prefix column sums P (row 0 = zeros) and coordinate-prefix squared mass S2."""
-
-    P: np.ndarray  # (n + 1, d); P[i, j] = sum of Y[:i, j]
-    S2: np.ndarray  # (d,); S2[t - 1] = total squared mass of the first t coordinates
-
-
-def build_prefix_sums(Y: SignalMatrix) -> PrefixSums:
-    v = Y.values
-    P = np.vstack([np.zeros((1, Y.d)), np.cumsum(v, axis=0)])
-    S2 = np.cumsum(np.einsum("ij,ij->j", v, v))
-    return PrefixSums(P=P, S2=S2)
-
-
 def _check_t(Y: SignalMatrix, T: int):
     if not 1 <= T <= Y.d:
         raise ValidationError(f"T must lie in [1, {Y.d}], got {T}")
@@ -70,13 +55,17 @@ def _check_k(Y: SignalMatrix, k: int):
 
 
 def objective(Y: SignalMatrix, T: int, k: int) -> float:
-    """Two-segment SSE of the first T coordinates when rows split after row k."""
+    """Two-segment SSE of the first T coordinates when rows split after row k.
+
+    Computed in the kernels' centred CUSUM form, for this one split.
+    """
     _check_t(Y, T)
     _check_k(Y, k)
-    ps = build_prefix_sums(Y)
-    p = ps.P[k, :T]
-    q = ps.P[Y.n, :T] - p
-    return float(ps.S2[T - 1] - p @ p / k - q @ q / (Y.n - k))
+    x = Y.values[:, :T] - Y.values[0, :T]
+    total = x.sum(axis=0)
+    cusum = x[:k].sum(axis=0) - (k / Y.n) * total
+    tss = np.sum(x * x) - total @ total / Y.n
+    return float(tss - Y.n / (k * (Y.n - k)) * (cusum @ cusum))
 
 
 def objective_bruteforce(Y: SignalMatrix, T: int, k: int) -> float:

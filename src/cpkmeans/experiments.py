@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ValidationError
 from .estimator import estimate_tau, sweep_estimate
 from .model import ModelSpec, generate_sample
-from .smoothing import method1_select, method2_select, subsample_size, surrogate
+from .smoothing import LepskiConfig, method1_select, method2_select, subsample_size, surrogate
 from .stats import SummaryStats, fit_line, summarize
 
 __all__ = [
@@ -83,6 +83,7 @@ class ExperimentConfig:
             raise ValidationError(f"tau must lie in (0, 1), got {self.tau}")
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValidationError(f"sigma must be finite and >= 0, got {self.sigma}")
+        LepskiConfig(c_lepski=self.c_lepski)  # rejects c_lepski <= 0 or NaN
         if not self.n_grid:
             raise ValidationError("n_grid must be non-empty")
         _check_distinct("n_grid", self.n_grid)

@@ -96,21 +96,23 @@ def lepski_select(z: SurrogateVector, config: LepskiConfig, n: int, d: int) -> i
 def method1_select(z: SurrogateVector) -> int:
     """Smallest T minimizing the two-regime within-group SSE of the surrogate.
 
-    The complementary group is empty at T = d and contributes 0.
+    Each group's SSE is ``sum z^2 - (sum z)^2 / size``, read off running
+    sums of z and z^2 after z is shifted by its first value, so a large
+    common offset does not cancel.  The complementary group is empty at
+    T = d and contributes 0.
     """
     zv = np.asarray(z.z, dtype=np.float64)
     d = zv.size
     if d < 1:
         raise ValidationError("surrogate vector must be non-empty")
-    v = np.empty(d)
-    for t in range(1, d + 1):
-        head = zv[:t] - zv[:t].mean()
-        score = head @ head
-        if t < d:
-            tail = zv[t:] - zv[t:].mean()
-            score += tail @ tail
-        v[t - 1] = score
-    return int(np.argmin(v)) + 1
+    zv = zv - zv[0]
+    sums = np.cumsum(zv)
+    squares = np.cumsum(zv * zv)
+    sizes = np.arange(1, d + 1)
+    scores = squares - sums * sums / sizes
+    tail_sums = sums[-1] - sums[:-1]
+    scores[:-1] += squares[-1] - squares[:-1] - tail_sums * tail_sums / sizes[-2::-1]
+    return int(np.argmin(scores)) + 1
 
 
 def subsample_size(n: int, n_sub: int, frac: float) -> int:

@@ -3,8 +3,8 @@
 These deliberately avoid the package's fast paths: the Lepski oracle
 enumerates every (k, m, j) window literally, the two-regime oracle
 evaluates the split criterion segment by segment, the table reference
-is the objective table's direct (T, k) formula, and the method-2
-oracle builds one full objective table per subsample.
+is the objective table's direct (T, k) centred CUSUM formula, and the
+method-2 oracle builds one full objective table per subsample.
 """
 
 import math
@@ -62,16 +62,22 @@ def method2_loop(values: np.ndarray, n_sub: int, frac: float, seed: int) -> int:
 
 
 def objective_table_reference(values: np.ndarray) -> np.ndarray:
-    """The objective table by its direct (T, k) formula, in fresh arrays.
+    """The objective table by its direct (T, k) centred CUSUM formula, in fresh arrays.
 
+    Each column is shifted by its first value, ``x = Y - Y[0]``; with P_k
+    the sum of the first k rows of x, ``S_k = P_k - (k / n) P_n``,
+    ``tss = sum x^2 - P_n^2 / n`` and ``W = tss_T - n / (k (n - k)) sum S_k^2``.
     ``objective_table`` must equal this bit for bit: it applies the same
     operations to every element in the same order, in (k, T) layout.
     """
     n = values.shape[0]
     ks = np.arange(2, n - 1)
-    head = np.cumsum(values, axis=0)
-    tail = head[-1] - head
-    tss = np.cumsum(np.cumsum(values * values, axis=0)[-1])
-    head_energy = np.cumsum(head * head, axis=1)
-    tail_energy = np.cumsum(tail * tail, axis=1)
-    return tss[:, None] - head_energy[ks - 1].T / ks - tail_energy[ks - 1].T / (n - ks)
+    x = values - values[0]
+    prefix = np.cumsum(x, axis=0)
+    total = prefix[-1]
+    # Pairwise sum down each column, as numpy sums one contiguous row.
+    squares = np.add.reduce(np.ascontiguousarray((x * x).T), axis=1)
+    tss = np.cumsum(squares - total * total / n)
+    cusum = prefix[ks - 1].T - total[:, None] * (ks / n)
+    energy = np.cumsum(cusum * cusum, axis=0)
+    return tss[:, None] - energy * (n / (ks * (n - ks)))

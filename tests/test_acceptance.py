@@ -26,13 +26,13 @@ from cpkmeans import (
     gaussian_tail_bound,
     generate_sample,
     lepski_select,
-    objective,
     objective_bruteforce,
     run_rate_study,
     run_regression_study,
     run_selection_comparison,
     run_t_sweep_study,
 )
+from cpkmeans._kernels import objective_table
 
 BASE_SEED = 20260810
 
@@ -58,16 +58,20 @@ def test_criterion_1_objective_oracle_equivalence():
         tm, tp = rng.normal(size=d), rng.normal(size=d)
         spec = ModelSpec(n=n, d=d, tau=0.5, theta_minus=tm, theta_plus=tp, sigma=sigma)
         y = generate_sample(spec, int(rng.integers(0, 2**63 - 1)))
+        table = objective_table(y.values)
         for t in range(1, d + 1):
-            fast = np.array([objective(y, t, k) for k in range(2, n - 1)])
+            fast = table[t - 1]
             slow = np.array([objective_bruteforce(y, t, k) for k in range(2, n - 1)])
             scale = np.maximum(np.abs(slow), 1e-12)
             worst = max(worst, float(np.max(np.abs(fast - slow) / scale)))
             assert np.all(np.abs(fast - slow) <= 1e-8 * scale)
-            assert int(np.argmin(fast)) == int(np.argmin(slow))
+            fit = estimate_tau(y, t)
+            assert np.array_equal(fit.objective, fast)
+            assert fit.k_hat == int(np.argmin(slow)) + 2
     _report(
         "criterion 1", worst <= 1e-8,
-        f"objective vs brute force on 100 instances, max rel dev {worst:.2e}",
+        f"objective table and estimate_tau vs brute force on 100 instances, "
+        f"max rel dev {worst:.2e}",
         started, 5.0,
     )
 

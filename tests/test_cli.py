@@ -225,6 +225,16 @@ def test_experiment_bad_subsampling_is_rejected_before_trials(tmp_path, capsys, 
     assert not out.exists()
 
 
+def test_experiment_bad_c_lepski_is_rejected_before_trials(tmp_path, capsys):
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text(RATE_CFG)
+    out = tmp_path / "run"
+    args = ["experiment", "--config", str(cfg), "--out", str(out), "--c-lepski", "0"]
+    assert main(args) == EXIT_VALIDATION
+    assert "c_lepski must be > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_experiment_repeated_config_key_is_rejected(tmp_path, capsys):
     cfg = tmp_path / "rate.cfg"
     cfg.write_text(RATE_CFG + "tau=0.5\n")

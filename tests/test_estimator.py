@@ -2,17 +2,19 @@ import numpy as np
 import pytest
 
 from cpkmeans import (
+    MeanCase,
     ModelSpec,
     SignalMatrix,
     ValidationError,
-    build_prefix_sums,
     estimate_tau,
     generate_sample,
+    method2_select,
     objective,
     objective_bruteforce,
+    sample_case_means,
     sweep_estimate,
 )
-from cpkmeans._kernels import objective_table
+from cpkmeans._kernels import objective_table, subsample_argmins
 
 STEP = SignalMatrix(np.array([[0.0], [0.0], [1.0], [1.0]]))
 
@@ -66,15 +68,6 @@ def test_objective_monotone_in_t():
         values = [objective(y, t, k) for t in range(1, 9)]
         scale = max(abs(v) for v in values) + 1.0
         assert all(b >= a - 1e-12 * scale for a, b in zip(values, values[1:]))
-
-
-def test_prefix_sums_invariant():
-    rng = np.random.default_rng(12)
-    y = _random_matrix(rng, n=25, d=6)
-    ps = build_prefix_sums(y)
-    assert ps.P[0] == pytest.approx(np.zeros(6))
-    np.testing.assert_allclose(ps.P[y.n], y.values.sum(axis=0), rtol=1e-10)
-    assert ps.S2[-1] == pytest.approx(float((y.values**2).sum()), rel=1e-12)
 
 
 def test_estimate_noiseless_recovery():
@@ -224,3 +217,36 @@ def test_permutation_invariance_within_truncation():
     for k in range(2, 19):
         assert objective(y_perm, t, k) == pytest.approx(objective(y, t, k), rel=1e-10)
     assert estimate_tau(y_perm, t).k_hat == estimate_tau(y, t).k_hat
+
+
+@pytest.mark.parametrize("offset", [1e6, 1e8])
+def test_large_offset_moves_no_k_hat(offset):
+    # caseB samples at the selection study's 100 x 200 shape.  An offset
+    # leaves every within-segment sum of squares unchanged, so no fit, sweep
+    # or method-2 split may move, and the table of the offset data must stay
+    # within criterion 1's tolerance of brute force on that data.
+    rng = np.random.default_rng(26)
+    ts = range(1, 201)
+    for seed in range(4):
+        theta_minus, theta_plus = sample_case_means(MeanCase.CASE_B, 200, rng)
+        spec = ModelSpec(
+            n=100, d=200, tau=0.3, theta_minus=theta_minus, theta_plus=theta_plus, sigma=1.0
+        )
+        y = generate_sample(spec, seed)
+        shifted = SignalMatrix(y.values + offset)
+        assert [estimate_tau(shifted, t).k_hat for t in ts] == [
+            estimate_tau(y, t).k_hat for t in ts
+        ]
+        assert [fit.k_hat for fit in sweep_estimate(shifted, ts)] == [
+            fit.k_hat for fit in sweep_estimate(y, ts)
+        ]
+        assert method2_select(shifted, 100, 0.8, seed) == method2_select(y, 100, 0.8, seed)
+        draw = np.random.default_rng(seed)
+        rows = np.stack([np.sort(draw.choice(100, size=80, replace=False)) for _ in range(100)])
+        assert np.array_equal(
+            subsample_argmins(shifted.values, rows), subsample_argmins(y.values, rows)
+        )
+        table = objective_table(shifted.values)
+        for t in (1, 30, 200):
+            slow = np.array([objective_bruteforce(shifted, t, k) for k in range(2, 99)])
+            assert np.all(np.abs(table[t - 1] - slow) <= 1e-8 * np.abs(slow))

@@ -129,6 +129,9 @@ def test_config_validation():
         _rate_config(t_grid=(5, 5, 6))
     with pytest.raises(ValidationError, match=r"n_grid repeats \[20\]"):
         _rate_config(n_grid=(20, 40, 20))
+    for c_lepski in (0.0, -1.0, math.nan):
+        with pytest.raises(ValidationError, match="c_lepski must be > 0"):
+            _rate_config(c_lepski=c_lepski)
 
 
 def test_config_rejects_bad_subsampling():

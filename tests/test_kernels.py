@@ -89,8 +89,8 @@ def test_subsample_argmins_exact_ties_keep_first_minimum():
 
 @pytest.mark.parametrize("offset", [1e6, 1e8])
 def test_subsample_argmins_large_offset(offset):
-    # The raw-moment table cancels badly here, so its argmins hinge on
-    # every rounding step; the batched kernel must round the same way.
+    # Large offsets exercise the shift by each subset's first value; the
+    # batched kernel must round the same way as the per-subset tables.
     rng = np.random.default_rng(54)
     values = rng.normal(size=(60, 30)) + offset
     rows = _sorted_subsets(rng, 60, 48, 20)
@@ -125,9 +125,10 @@ def test_objective_row_matches_truncated_table(n, d):
 
 def test_objective_row_exact_ties():
     # 0/1 data in repeated rows: rows of the table with bit-equal minima at
-    # several splits, so any reordering of the sums would show.
+    # several splits, so any reordering of the sums would show.  n = 16 keeps
+    # the centring term (k / n) P_n exact, so the tied values stay bit-equal.
     rng = np.random.default_rng(55)
-    values = np.repeat(rng.integers(0, 2, size=(5, 8)).astype(np.float64), 4, axis=0)
+    values = np.repeat(rng.integers(0, 2, size=(4, 8)).astype(np.float64), 4, axis=0)
     tied = 0
     for T in range(1, 9):
         row = objective_row(values, T)

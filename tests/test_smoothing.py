@@ -5,6 +5,7 @@ from helpers import lepski_bruteforce, method2_loop, two_regime_scores
 
 from cpkmeans import (
     LepskiConfig,
+    MeanCase,
     ModelSpec,
     SignalMatrix,
     SurrogateVector,
@@ -15,6 +16,7 @@ from cpkmeans import (
     lepski_select,
     method1_select,
     method2_select,
+    sample_case_means,
     surrogate,
 )
 
@@ -143,6 +145,30 @@ def test_method1_matches_exhaustive_scores():
         scores = two_regime_scores(zv)
         assert picked == int(np.argmin(scores)) + 1
         assert 1 <= picked <= d
+
+
+def test_method1_closed_form_matches_two_regime_scores():
+    # The closed form against the segment-by-segment oracle: one and two
+    # coordinates, constant surrogates (every T ties, so T = 1), and the
+    # surrogates of 500 caseB samples at the selection study's shape.
+    def picked_by_oracle(zv):
+        return int(np.argmin(two_regime_scores(zv))) + 1
+
+    for zv in ([3.0], [-1.0], [1.0, 2.0], [2.0, -1.0], [0.5, 0.5]):
+        zv = np.array(zv)
+        assert method1_select(SurrogateVector(zv, 0.1)) == picked_by_oracle(zv)
+    for value in (0.0, 0.5, -2.5, 1e6):
+        for d in (1, 2, 7, 200):
+            zv = np.full(d, value)
+            assert method1_select(SurrogateVector(zv, 0.1)) == picked_by_oracle(zv) == 1
+    rng = np.random.default_rng(27)
+    for seed in range(500):
+        theta_minus, theta_plus = sample_case_means(MeanCase.CASE_B, 200, rng)
+        spec = ModelSpec(
+            n=100, d=200, tau=0.3, theta_minus=theta_minus, theta_plus=theta_plus, sigma=1.0
+        )
+        z = surrogate(generate_sample(spec, seed), 1.0)
+        assert method1_select(z) == picked_by_oracle(z.z)
 
 
 def test_method2_noiseless_ties_to_one():

@@ -18,10 +18,7 @@ from .estimator import (
 from .experiments import (
     ExperimentConfig,
     MeanCase,
-    RateStudyResult,
-    SelectionResult,
-    TrialRecord,
-    TSweepResult,
+    StudyResult,
     derive_trial_seed,
     run_rate_study,
     run_regression_study,
@@ -88,10 +85,7 @@ __all__ = [
     "summarize",
     "MeanCase",
     "ExperimentConfig",
-    "TrialRecord",
-    "RateStudyResult",
-    "TSweepResult",
-    "SelectionResult",
+    "StudyResult",
     "derive_trial_seed",
     "sample_rate_means",
     "sample_case_means",

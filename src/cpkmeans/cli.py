@@ -19,6 +19,7 @@ import argparse
 import csv
 import os
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -29,15 +30,12 @@ from .experiments import (
     _SEED_CAP,
     ExperimentConfig,
     MeanCase,
-    RateStudyResult,
-    SelectionResult,
-    TSweepResult,
+    StudyResult,
     run_rate_study,
     run_regression_study,
     run_selection_comparison,
     run_t_sweep_study,
     sample_case_means,
-    sample_rate_means,
 )
 from .model import ModelSpec, SignalMatrix, generate_sample
 from .smoothing import LepskiConfig, lepski_select, method1_select, method2_select, surrogate
@@ -124,10 +122,7 @@ def read_matrix_csv(path) -> np.ndarray:
 def _load_means(args):
     if args.means in ("rate", "caseA", "caseB"):
         rng = np.random.default_rng(args.seed)
-        if args.means == "rate":
-            tm, tp = sample_rate_means(args.d, rng)
-        else:
-            tm, tp = sample_case_means(MeanCase(args.means), args.d, rng)
+        tm, tp = sample_case_means(MeanCase(args.means), args.d, rng)
         noise_seed = int(rng.integers(0, _SEED_CAP))
         return tm, tp, noise_seed
     means = read_matrix_csv(args.means)
@@ -206,6 +201,9 @@ _SUMMARY_HEADER = [
 ]
 
 
+_RECORD_CHUNK = 4096
+
+
 class _Formatted(dict):
     """Float -> ``_fmt`` text, formatted on first lookup."""
 
@@ -214,22 +212,26 @@ class _Formatted(dict):
         return text
 
 
-def _write_records(path, records):
-    # A sweep writes hundreds of thousands of float cells but only about 150
-    # distinct values (tau_true is fixed, tau_hat is k / n), so each
-    # distinct value is formatted once per call.  Keying on the float is
-    # exact: the only equal floats that repr tells apart are 0.0 and -0.0,
-    # and none of these fields is ever -0.0 (abs_error is an abs, the taus
-    # lie in (0, 1)).
-    text = _Formatted()
+def _write_records(path, tau: float, result: StudyResult):
+    # A sweep writes some 160,000 float cells but only about 150
+    # distinct values (tau_hat is k / n), so each distinct value is formatted
+    # once per call.  Keying on the float is exact: the only equal floats
+    # that repr tells apart are 0.0 and -0.0, and neither float column is
+    # ever -0.0 (abs_error is an abs, tau_hat lies in (0, 1)).
+    # Rows go out in chunks, so only one chunk of each column is ever held as
+    # Python objects.
+    text = _Formatted().__getitem__
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_RECORD_HEADER)
-        writer.writerows(
-            [r.trial_index, r.n, r.T, text[r.tau_true], text[r.tau_hat],
-             text[r.abs_error], r.selector]
-            for r in records
-        )
+        for start in range(0, len(result.n), _RECORD_CHUNK):
+            rows = slice(start, start + _RECORD_CHUNK)
+            writer.writerows(zip(
+                result.trial_index[rows].tolist(), result.n[rows].tolist(),
+                result.T[rows].tolist(), repeat(_fmt(tau)),
+                map(text, result.tau_hat[rows].tolist()),
+                map(text, result.abs_error[rows].tolist()), result.selector[rows].tolist(),
+            ))
 
 
 def _summary_row(stats):
@@ -237,29 +239,15 @@ def _summary_row(stats):
             _fmt(stats.variance), _fmt(stats.std_dev)]
 
 
-def _write_summary(path, study, config, result):
+def _write_summary(path, study, config, result: StudyResult):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_SUMMARY_HEADER)
-        if isinstance(result, RateStudyResult):
-            for n, stats in result.per_n.items():
-                writer.writerow(
-                    [study, config.case.value, n, config.t_grid[0], "fixed-T"]
-                    + _summary_row(stats)
-                )
-        elif isinstance(result, TSweepResult):
-            for t, stats in result.per_t.items():
-                writer.writerow(
-                    [study, config.case.value, config.n_grid[0], t, "fixed-T"]
-                    + _summary_row(stats)
-                )
-        elif isinstance(result, SelectionResult):
-            for tag, stats in result.per_selector.items():
-                t_used = config.t_star if tag == "oracle" else ""
-                writer.writerow(
-                    [study, config.case.value, config.n_grid[0], t_used, tag]
-                    + _summary_row(stats)
-                )
+        for (n, T, selector), stats in result.summary.items():
+            writer.writerow(
+                [study, config.case.value, n, "" if T is None else T, selector]
+                + _summary_row(stats)
+            )
 
 
 def _run_simulate(args) -> int:
@@ -313,9 +301,9 @@ def _run_experiment(args) -> int:
         print(f"t_star={result.t_star}")
     else:
         result = run_selection_comparison(config, workers=workers)
-        for tag, stats in result.per_selector.items():
+        for (_, _, tag), stats in result.summary.items():
             print(f"{tag}_mean={_fmt(stats.mean)}")
-    _write_records(out_dir / "records.csv", result.records)
+    _write_records(out_dir / "records.csv", config.tau, result)
     _write_summary(out_dir / "summary.csv", study, config, result)
     return EXIT_OK
 

@@ -4,6 +4,12 @@ Each study draws fresh segment means and fresh noise per trial, keyed by
 a seed derived from (base_seed, trial, n, T, tag), so trials are
 independent work units: results are bit-identical whether they run
 sequentially or on a process pool.
+
+The three studies (error against n at a fixed T, error against T, and
+the selectors against the oracle T) share one pipeline.  A trial returns
+its records as columns; ``_run_study`` runs the trials, concatenates
+their columns and summarises them by (n, T, selector) into one
+``StudyResult``.
 """
 
 from __future__ import annotations
@@ -25,10 +31,7 @@ from .stats import SummaryStats, fit_line, summarize
 __all__ = [
     "MeanCase",
     "ExperimentConfig",
-    "TrialRecord",
-    "RateStudyResult",
-    "TSweepResult",
-    "SelectionResult",
+    "StudyResult",
     "derive_trial_seed",
     "sample_rate_means",
     "sample_case_means",
@@ -45,6 +48,12 @@ class MeanCase(str, Enum):
     RATE_MODEL = "rate"
     CASE_A = "caseA"
     CASE_B = "caseB"
+
+
+def _check_case_d(case: MeanCase, d: int):
+    # Case B draws its 20 leading coordinates apart from a non-empty tail.
+    if case is MeanCase.CASE_B and d < 21:
+        raise ValidationError(f"case B needs d >= 21, got {d}")
 
 
 def _check_distinct(name: str, grid: tuple[int, ...]):
@@ -81,6 +90,7 @@ class ExperimentConfig:
             raise ValidationError(f"d must be >= 1, got {self.d}")
         if not 0.0 < self.tau < 1.0:
             raise ValidationError(f"tau must lie in (0, 1), got {self.tau}")
+        _check_case_d(self.case, self.d)
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValidationError(f"sigma must be finite and >= 0, got {self.sigma}")
         LepskiConfig(c_lepski=self.c_lepski)  # rejects c_lepski <= 0 or NaN
@@ -99,36 +109,34 @@ class ExperimentConfig:
         for t in self.t_grid:
             if not 1 <= t <= self.d:
                 raise ValidationError(f"every T must lie in [1, {self.d}], got {t}")
+        if self.t_star is not None and not 1 <= self.t_star <= self.d:
+            raise ValidationError(f"t_star must lie in [1, {self.d}], got {self.t_star}")
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    trial_index: int
-    n: int
-    T: int
-    tau_true: float
-    tau_hat: float
-    abs_error: float
-    selector: str
+@dataclass(frozen=True, eq=False)
+class StudyResult:
+    """The records of one study as columns, one entry per trial and selector,
+    and their summary.
 
+    ``summary`` maps (n, T, selector) to the stats of that group's
+    ``abs_error``, in the order the groups first appear in the records.
+    T is None for the selectors that pick T afresh in every trial.
+    """
 
-@dataclass(frozen=True)
-class RateStudyResult:
-    per_n: dict[int, SummaryStats]
-    records: list[TrialRecord]
+    trial_index: np.ndarray
+    n: np.ndarray
+    T: np.ndarray
+    tau_hat: np.ndarray
+    abs_error: np.ndarray
+    selector: np.ndarray
+    summary: dict[tuple[int, int | None, str], SummaryStats]
 
-
-@dataclass(frozen=True)
-class TSweepResult:
-    per_t: dict[int, SummaryStats]
-    t_star: int
-    records: list[TrialRecord]
-
-
-@dataclass(frozen=True)
-class SelectionResult:
-    per_selector: dict[str, SummaryStats]
-    records: list[TrialRecord]
+    @property
+    def t_star(self) -> int:
+        """The fixed T of least mean error; ties go to the smallest T."""
+        means = {T: s.mean for (_, T, _), s in self.summary.items() if T is not None}
+        best = min(means.values())
+        return min(T for T, mean in means.items() if mean == best)
 
 
 def derive_trial_seed(base_seed: int, trial_index: int, n: int, T: int, selector_tag: str) -> int:
@@ -147,7 +155,9 @@ def sample_rate_means(d: int, rng: np.random.Generator):
 
 
 def sample_case_means(case: MeanCase, d: int, rng: np.random.Generator):
-    """Case A: both means i.i.d. with coordinate variance 1/(2 j^2).
+    """Segment means of any case; the rate model is ``sample_rate_means``.
+
+    Case A: both means i.i.d. with coordinate variance 1/(2 j^2).
 
     Case B: 20 leading coordinates are large (variance 1/2) and nearly
     shared between the segments (post-change recentered with sd 0.1);
@@ -155,32 +165,30 @@ def sample_case_means(case: MeanCase, d: int, rng: np.random.Generator):
     variance 1/(2 (j - 20)^2).
     """
     case = MeanCase(case)
+    if case is MeanCase.RATE_MODEL:
+        return sample_rate_means(d, rng)
     if case is MeanCase.CASE_A:
         j = np.arange(1, d + 1, dtype=np.float64)
         scale = 1.0 / (math.sqrt(2.0) * j)
         return rng.normal(0.0, scale), rng.normal(0.0, scale)
-    if case is MeanCase.CASE_B:
-        if d < 21:
-            raise ValidationError(f"case B needs d >= 21, got {d}")
-        tail_j = np.arange(21, d + 1, dtype=np.float64)
-        tail_scale = 1.0 / (math.sqrt(2.0) * (tail_j - 20.0))
-        scale_minus = np.concatenate([np.full(20, math.sqrt(0.5)), tail_scale])
-        theta_minus = rng.normal(0.0, scale_minus)
-        loc_plus = np.concatenate([theta_minus[:20], np.zeros(d - 20)])
-        scale_plus = np.concatenate([np.full(20, 0.1), tail_scale])
-        return theta_minus, rng.normal(loc_plus, scale_plus)
-    raise ValidationError(f"no mean sampler for case {case}")
+    _check_case_d(case, d)
+    tail_j = np.arange(21, d + 1, dtype=np.float64)
+    tail_scale = 1.0 / (math.sqrt(2.0) * (tail_j - 20.0))
+    scale_minus = np.concatenate([np.full(20, math.sqrt(0.5)), tail_scale])
+    theta_minus = rng.normal(0.0, scale_minus)
+    loc_plus = np.concatenate([theta_minus[:20], np.zeros(d - 20)])
+    scale_plus = np.concatenate([np.full(20, 0.1), tail_scale])
+    return theta_minus, rng.normal(loc_plus, scale_plus)
 
 
-def _draw_sample(config: ExperimentConfig, n: int, rng: np.random.Generator):
-    if config.case is MeanCase.RATE_MODEL:
-        tm, tp = sample_rate_means(config.d, rng)
-    else:
-        tm, tp = sample_case_means(config.case, config.d, rng)
+def _trial_sample(config: ExperimentConfig, trial: int, n: int, T: int, tag: str):
+    """The seeded generator and sample of one trial; every study starts here."""
+    rng = np.random.default_rng(derive_trial_seed(config.base_seed, trial, n, T, tag))
+    tm, tp = sample_case_means(config.case, config.d, rng)
     spec = ModelSpec(
         n=n, d=config.d, tau=config.tau, theta_minus=tm, theta_plus=tp, sigma=config.sigma
     )
-    return generate_sample(spec, int(rng.integers(0, _SEED_CAP)))
+    return rng, generate_sample(spec, int(rng.integers(0, _SEED_CAP)))
 
 
 def _run_trials(fn, payloads, workers: int) -> list:
@@ -191,45 +199,82 @@ def _run_trials(fn, payloads, workers: int) -> list:
         return list(pool.map(fn, payloads, chunksize=chunk))
 
 
-def _rate_trial(payload) -> TrialRecord:
+# Each trial takes a (config, n, trial) payload and returns its records as
+# three equal-length columns: the T used, tau_hat and the selector.
+
+
+def _rate_trial(payload):
     config, n, trial = payload
     t_fixed = config.t_grid[0]
-    seed = derive_trial_seed(config.base_seed, trial, n, t_fixed, "fixed-T")
-    rng = np.random.default_rng(seed)
-    sample = _draw_sample(config, n, rng)
-    fit = estimate_tau(sample, t_fixed)
-    return TrialRecord(
-        trial_index=trial,
-        n=n,
-        T=t_fixed,
-        tau_true=config.tau,
-        tau_hat=fit.tau_hat,
-        abs_error=abs(fit.tau_hat - config.tau),
-        selector="fixed-T",
+    _, sample = _trial_sample(config, trial, n, t_fixed, "fixed-T")
+    return [t_fixed], [estimate_tau(sample, t_fixed).tau_hat], ["fixed-T"]
+
+
+def _sweep_trial(payload):
+    config, n, trial = payload
+    _, sample = _trial_sample(config, trial, n, 0, "sweep")
+    fits = sweep_estimate(sample, config.t_grid)
+    return config.t_grid, [fit.tau_hat for fit in fits], ["fixed-T"] * len(fits)
+
+
+def _selection_trial(payload):
+    config, n, trial = payload
+    rng, sample = _trial_sample(config, trial, n, 0, "selection")
+    z = surrogate(sample, config.sigma)
+    picks = {
+        "oracle": config.t_star,
+        "method1": method1_select(z),
+        "method2": method2_select(
+            sample, config.n_sub, config.frac, int(rng.integers(0, _SEED_CAP))
+        ),
+    }
+    T = list(picks.values())
+    return T, [estimate_tau(sample, t).tau_hat for t in T], list(picks)
+
+
+# Selectors that pick T afresh in every trial; their summary groups have no T.
+_PICKS_T = frozenset({"method1", "method2"})
+
+
+def _run_study(trial_fn, config: ExperimentConfig, workers: int) -> StudyResult:
+    payloads = [(config, n, trial) for n in config.n_grid for trial in range(config.trials)]
+    batches = _run_trials(trial_fn, payloads, workers)
+    groups = {}  # (n, T, selector) -> group number, in order of first appearance
+    group = np.array([
+        groups.setdefault((n, None if tag in _PICKS_T else t, tag), len(groups))
+        for (_, n, _), (ts, _, tags) in zip(payloads, batches)
+        for t, tag in zip(ts, tags)
+    ])
+    T, tau_hat, selector = (np.concatenate(column) for column in zip(*batches))
+    sizes = [len(batch[0]) for batch in batches]
+    abs_error = np.abs(tau_hat - config.tau)
+    return StudyResult(
+        trial_index=np.repeat([p[2] for p in payloads], sizes),
+        n=np.repeat([p[1] for p in payloads], sizes),
+        T=T,
+        tau_hat=tau_hat,
+        abs_error=abs_error,
+        selector=selector,
+        summary={key: summarize(abs_error[group == g]) for key, g in groups.items()},
     )
 
 
-def run_rate_study(config: ExperimentConfig, workers: int = 1) -> RateStudyResult:
+def run_rate_study(config: ExperimentConfig, workers: int = 1) -> StudyResult:
     """Absolute estimation error at a fixed truncation level, per sample size."""
     if config.case is not MeanCase.RATE_MODEL:
         raise ValidationError("rate study requires the rate-model means")
     if len(config.t_grid) != 1:
         raise ValidationError("rate study uses a single fixed T")
-    payloads = [(config, n, t) for n in config.n_grid for t in range(config.trials)]
-    records = _run_trials(_rate_trial, payloads, workers)
-    per_n = {
-        n: summarize([r.abs_error for r in records if r.n == n]) for n in config.n_grid
-    }
-    return RateStudyResult(per_n=per_n, records=records)
+    return _run_study(_rate_trial, config, workers)
 
 
-def run_regression_study(rate_result: RateStudyResult) -> tuple[float, float]:
+def run_regression_study(result: StudyResult) -> tuple[float, float]:
     """Log-log slopes of mean and median error against n; zero-error points drop out."""
     slopes = []
     for pick in (lambda s: s.mean, lambda s: s.median):
         pts = [
             (math.log(n), math.log(pick(s)))
-            for n, s in rate_result.per_n.items()
+            for (n, _, _), s in result.summary.items()
             if pick(s) > 0
         ]
         if len(pts) < 2:
@@ -238,78 +283,16 @@ def run_regression_study(rate_result: RateStudyResult) -> tuple[float, float]:
     return slopes[0], slopes[1]
 
 
-def _sweep_trial(payload) -> list[TrialRecord]:
-    config, trial = payload
-    n = config.n_grid[0]
-    seed = derive_trial_seed(config.base_seed, trial, n, 0, "sweep")
-    rng = np.random.default_rng(seed)
-    sample = _draw_sample(config, n, rng)
-    fits = sweep_estimate(sample, config.t_grid)
-    return [
-        TrialRecord(
-            trial_index=trial,
-            n=n,
-            T=fit.T_used,
-            tau_true=config.tau,
-            tau_hat=fit.tau_hat,
-            abs_error=abs(fit.tau_hat - config.tau),
-            selector="fixed-T",
-        )
-        for fit in fits
-    ]
-
-
-def run_t_sweep_study(config: ExperimentConfig, workers: int = 1) -> TSweepResult:
-    """Error as a function of the truncation level, plus the oracle T*."""
+def run_t_sweep_study(config: ExperimentConfig, workers: int = 1) -> StudyResult:
+    """Error as a function of the truncation level; the result's ``t_star`` is the oracle T."""
     if config.case not in (MeanCase.CASE_A, MeanCase.CASE_B):
         raise ValidationError("T sweep requires case A or case B means")
     if len(config.n_grid) != 1:
         raise ValidationError("T sweep uses a single sample size")
-    payloads = [(config, t) for t in range(config.trials)]
-    per_trial = _run_trials(_sweep_trial, payloads, workers)
-    records = [r for batch in per_trial for r in batch]
-    errors = {t: [] for t in config.t_grid}
-    for r in records:
-        errors[r.T].append(r.abs_error)
-    per_t = {t: summarize(errors[t]) for t in config.t_grid}
-    best = min(s.mean for s in per_t.values())
-    t_star = min(t for t, s in per_t.items() if s.mean == best)
-    return TSweepResult(per_t=per_t, t_star=t_star, records=records)
+    return _run_study(_sweep_trial, config, workers)
 
 
-def _selection_trial(payload) -> list[TrialRecord]:
-    config, trial = payload
-    n = config.n_grid[0]
-    seed = derive_trial_seed(config.base_seed, trial, n, 0, "selection")
-    rng = np.random.default_rng(seed)
-    sample = _draw_sample(config, n, rng)
-    z = surrogate(sample, config.sigma)
-    picks = [
-        ("oracle", config.t_star),
-        ("method1", method1_select(z)),
-        (
-            "method2",
-            method2_select(sample, config.n_sub, config.frac, int(rng.integers(0, _SEED_CAP))),
-        ),
-    ]
-    out = []
-    for tag, t in picks:
-        fit = estimate_tau(sample, t)
-        out.append(
-            TrialRecord(
-                trial_index=trial,
-                n=n,
-                T=t,
-                tau_true=config.tau,
-                tau_hat=fit.tau_hat,
-                abs_error=abs(fit.tau_hat - config.tau),
-                selector=tag,
-            )
-        )
-    return out
-
-
-def run_selection_comparison(config: ExperimentConfig, workers: int = 1) -> SelectionResult:
+def run_selection_comparison(config: ExperimentConfig, workers: int = 1) -> StudyResult:
     """Oracle T* versus the two practical selectors, on the same samples."""
     if config.case is not MeanCase.CASE_B:
         raise ValidationError("selection comparison requires case B means")
@@ -317,13 +300,4 @@ def run_selection_comparison(config: ExperimentConfig, workers: int = 1) -> Sele
         raise ValidationError("selection comparison uses a single sample size")
     if config.t_star is None:
         raise ValidationError("selection comparison needs t_star (oracle T)")
-    if not 1 <= config.t_star <= config.d:
-        raise ValidationError(f"t_star must lie in [1, {config.d}], got {config.t_star}")
-    payloads = [(config, t) for t in range(config.trials)]
-    per_trial = _run_trials(_selection_trial, payloads, workers)
-    records = [r for batch in per_trial for r in batch]
-    per_selector = {
-        tag: summarize([r.abs_error for r in records if r.selector == tag])
-        for tag in ("oracle", "method1", "method2")
-    }
-    return SelectionResult(per_selector=per_selector, records=records)
+    return _run_study(_selection_trial, config, workers)

@@ -81,3 +81,12 @@ def objective_table_reference(values: np.ndarray) -> np.ndarray:
     cusum = prefix[ks - 1].T - total[:, None] * (ks / n)
     energy = np.cumsum(cusum * cusum, axis=0)
     return tss[:, None] - energy * (n / (ks * (n - ks)))
+
+
+def same_records(a, b) -> bool:
+    """Two StudyResults hold equal record columns, element for element, of equal dtypes."""
+    columns = ("trial_index", "n", "T", "tau_hat", "abs_error", "selector")
+    return all(
+        getattr(a, c).dtype == getattr(b, c).dtype and np.array_equal(getattr(a, c), getattr(b, c))
+        for c in columns
+    )

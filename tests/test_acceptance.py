@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import lepski_bruteforce
+from helpers import lepski_bruteforce, same_records
 
 from cpkmeans import (
     ExperimentConfig,
@@ -165,9 +165,10 @@ def test_criterion_5_case_b_sweep():
         t_grid=tuple(range(1, 201)),
     )
     result = run_t_sweep_study(config, workers=2)
-    at_star = result.per_t[result.t_star].mean
-    at_one = result.per_t[1].mean
-    at_full = result.per_t[200].mean
+    per_t = {T: stats for (_, T, _), stats in result.summary.items()}
+    at_star = per_t[result.t_star].mean
+    at_one = per_t[1].mean
+    at_full = per_t[200].mean
     ok = 15 <= result.t_star <= 60 and at_star < at_one and at_star < at_full
     _report(
         "criterion 5", ok,
@@ -193,7 +194,8 @@ def test_criterion_6_table_reproduction():
         t_star=30,
     )
     result = run_selection_comparison(config, workers=2)
-    got = {tag: stats.mean for tag, stats in result.per_selector.items()}
+    per_selector = {tag: stats for (_, _, tag), stats in result.summary.items()}
+    got = {tag: stats.mean for tag, stats in per_selector.items()}
     reference = {"oracle": 0.1524, "method1": 0.2207, "method2": 0.2047}
     checks = []
     for tag, ref in reference.items():
@@ -205,7 +207,7 @@ def test_criterion_6_table_reproduction():
         ("ordering method2 <= method1 + 0.02", got["method2"] <= got["method1"] + 0.02),
     )
     for tag in ("method1", "method2"):
-        mc_se = result.per_selector[tag].std_dev / math.sqrt(config.trials)
+        mc_se = per_selector[tag].std_dev / math.sqrt(config.trials)
         checks.append(
             (f"oracle <= {tag} + 2 MC se", got["oracle"] <= got[tag] + 2 * mc_se),
         )
@@ -275,18 +277,17 @@ def test_criterion_8_invariance_suite():
         base_seed=BASE_SEED, trials=8, n_grid=(20, 40), d=20, sigma=1.0, tau=0.3,
         case=MeanCase.RATE_MODEL, t_grid=(10,),
     )
-    assert run_rate_study(rate_cfg, workers=1).records == run_rate_study(rate_cfg, workers=2).records
+    assert same_records(run_rate_study(rate_cfg, workers=1), run_rate_study(rate_cfg, workers=2))
     sweep_cfg = ExperimentConfig(
         base_seed=BASE_SEED, trials=4, n_grid=(20,), d=25, sigma=1.0, tau=0.3,
         case=MeanCase.CASE_B, t_grid=tuple(range(1, 26)), n_sub=5, t_star=5,
     )
-    assert (
-        run_t_sweep_study(sweep_cfg, workers=1).records
-        == run_t_sweep_study(sweep_cfg, workers=2).records
+    assert same_records(
+        run_t_sweep_study(sweep_cfg, workers=1), run_t_sweep_study(sweep_cfg, workers=2)
     )
-    assert (
-        run_selection_comparison(sweep_cfg, workers=1).records
-        == run_selection_comparison(sweep_cfg, workers=2).records
+    assert same_records(
+        run_selection_comparison(sweep_cfg, workers=1),
+        run_selection_comparison(sweep_cfg, workers=2),
     )
     _report(
         "criterion 8", True,

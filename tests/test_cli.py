@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from cpkmeans import cli
 from cpkmeans.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -225,6 +226,29 @@ def test_experiment_bad_subsampling_is_rejected_before_trials(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "study, d, extra, message",
+    [
+        ("sweep", 10, "", "case B needs d >= 21"),
+        ("selection", 25, "t_star=0", "t_star must lie in [1, 25]"),
+        ("selection", 25, "t_star=26", "t_star must lie in [1, 25]"),
+    ],
+)
+def test_experiment_bad_case_config_is_rejected_before_trials(
+    tmp_path, capsys, study, d, extra, message
+):
+    cfg = tmp_path / f"{study}.cfg"
+    cfg.write_text(
+        f"study={study}\ncase=caseB\nbase_seed=2\ntrials=2\nn_grid=20\nd={d}\n"
+        f"sigma=1.0\ntau=0.3\nt_grid=1:{d}\n{extra}\n"
+    )
+    out = tmp_path / "run"
+    args = ["experiment", "--config", str(cfg), "--out", str(out), "--workers", "1"]
+    assert main(args) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_experiment_bad_c_lepski_is_rejected_before_trials(tmp_path, capsys):
     cfg = tmp_path / "rate.cfg"
     cfg.write_text(RATE_CFG)
@@ -269,15 +293,15 @@ def test_experiment_sweep_config_range_syntax(tmp_path, capsys):
     assert len(rows) == 1 + 25
 
 
-def _write_records_per_row(path, records):
+def _write_records_per_row(path, tau, result):
     # The plain writer: every float formatted where it is written.
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["trial_index", "n", "T", "tau_true", "tau_hat", "abs_error", "selector"])
-        for r in records:
+        for i in range(len(result.n)):
             writer.writerow(
-                [r.trial_index, r.n, r.T, _fmt(r.tau_true), _fmt(r.tau_hat),
-                 _fmt(r.abs_error), r.selector]
+                [int(result.trial_index[i]), int(result.n[i]), int(result.T[i]), _fmt(tau),
+                 _fmt(result.tau_hat[i]), _fmt(result.abs_error[i]), str(result.selector[i])]
             )
 
 
@@ -288,11 +312,24 @@ def test_write_records_matches_per_row_writer(tmp_path, study):
         t_grid=tuple(range(1, 26)), n_sub=6, t_star=5,
     )
     runner = run_t_sweep_study if study == "sweep" else run_selection_comparison
-    records = runner(config).records
-    assert len(records) == (75 if study == "sweep" else 9)
-    _write_records(tmp_path / "fast.csv", records)
-    _write_records_per_row(tmp_path / "plain.csv", records)
+    result = runner(config)
+    assert len(result.n) == (75 if study == "sweep" else 9)
+    _write_records(tmp_path / "fast.csv", config.tau, result)
+    _write_records_per_row(tmp_path / "plain.csv", config.tau, result)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
+def test_write_records_in_small_chunks_matches_per_row_writer(tmp_path, monkeypatch):
+    # 75 sweep rows written 4 at a time: no chunk boundary may show in the file.
+    config = ExperimentConfig(
+        base_seed=4, trials=3, n_grid=(20,), d=25, sigma=1.0, tau=0.3, case="caseB",
+        t_grid=tuple(range(1, 26)),
+    )
+    result = run_t_sweep_study(config)
+    monkeypatch.setattr(cli, "_RECORD_CHUNK", 4)
+    _write_records(tmp_path / "chunked.csv", config.tau, result)
+    _write_records_per_row(tmp_path / "plain.csv", config.tau, result)
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 
 def test_run_dispatch_uses_namespace():

@@ -6,7 +6,7 @@ import pytest
 from cpkmeans import (
     ExperimentConfig,
     MeanCase,
-    RateStudyResult,
+    StudyResult,
     SummaryStats,
     ValidationError,
     derive_trial_seed,
@@ -17,6 +17,8 @@ from cpkmeans import (
     sample_case_means,
     sample_rate_means,
 )
+
+from helpers import same_records
 
 
 def test_derive_trial_seed_stability():
@@ -132,6 +134,13 @@ def test_config_validation():
     for c_lepski in (0.0, -1.0, math.nan):
         with pytest.raises(ValidationError, match="c_lepski must be > 0"):
             _rate_config(c_lepski=c_lepski)
+    with pytest.raises(ValidationError, match="case B needs d >= 21"):
+        _rate_config(case=MeanCase.CASE_B, d=20)
+    assert _rate_config(case=MeanCase.CASE_B, d=21).d == 21
+    for t_star in (0, 21):
+        with pytest.raises(ValidationError, match=r"t_star must lie in \[1, 20\]"):
+            _rate_config(t_star=t_star)
+    assert _rate_config(t_star=20).t_star == 20
 
 
 def test_config_rejects_bad_subsampling():
@@ -147,33 +156,31 @@ def test_config_rejects_bad_subsampling():
 
 def test_rate_study_zero_noise():
     result = run_rate_study(_rate_config(trials=1, sigma=0.0))
-    assert all(stats.mean == 0.0 for stats in result.per_n.values())
-    assert all(r.abs_error == 0.0 for r in result.records)
+    assert all(stats.mean == 0.0 for stats in result.summary.values())
+    assert np.all(result.abs_error == 0.0)
 
 
 def test_rate_study_deterministic_across_workers():
     config = _rate_config(trials=6)
     r1 = run_rate_study(config, workers=1)
     r2 = run_rate_study(config, workers=2)
-    assert r1.records == r2.records
-    assert r1.per_n == r2.per_n
+    assert same_records(r1, r2)
+    assert r1.summary == r2.summary
 
 
 def test_trial_records_stay_in_range():
     result = run_rate_study(_rate_config(trials=8))
-    for r in result.records:
-        assert 0.0 <= r.abs_error <= 1.0 - 2.0 / r.n
+    assert np.all((0.0 <= result.abs_error) & (result.abs_error <= 1.0 - 2.0 / result.n))
 
 
 def test_regression_study_recovers_power_laws():
     def fake(errors):
-        return RateStudyResult(
-            per_n={
-                n: SummaryStats(mean=e, median=e, variance=0.0, std_dev=0.0, count=1)
-                for n, e in errors.items()
-            },
-            records=[],
-        )
+        summary = {
+            (n, 10, "fixed-T"): SummaryStats(mean=e, median=e, variance=0.0, std_dev=0.0, count=1)
+            for n, e in errors.items()
+        }
+        empty = np.empty(0)
+        return StudyResult(empty, empty, empty, empty, empty, empty, summary)
 
     slope_mean, slope_median = run_regression_study(
         fake({100: 3.0 / 100, 200: 3.0 / 200, 400: 3.0 / 400})
@@ -210,10 +217,10 @@ def test_sweep_study_deterministic_and_repeatable():
     config = _case_b_config(trials=5)
     r1 = run_t_sweep_study(config, workers=1)
     r2 = run_t_sweep_study(config, workers=2)
-    assert r1.records == r2.records
+    assert same_records(r1, r2)
     assert r1.t_star == r2.t_star
     again = run_t_sweep_study(config, workers=1)
-    assert again.records == r1.records
+    assert same_records(again, r1)
 
 
 def test_sweep_study_requires_case_means():
@@ -236,12 +243,13 @@ def test_case_a_favors_small_truncation():
     )
     result = run_t_sweep_study(config, workers=2)
     assert result.t_star <= 10
-    assert result.per_t[result.t_star].mean < result.per_t[200].mean
+    per_t = {T: stats for (_, T, _), stats in result.summary.items()}
+    assert per_t[result.t_star].mean < per_t[200].mean
 
 
 def test_selection_comparison_zero_noise():
     result = run_selection_comparison(_case_b_config(trials=3, sigma=0.0))
-    for stats in result.per_selector.values():
+    for stats in result.summary.values():
         assert stats.mean == 0.0
 
 
@@ -249,7 +257,7 @@ def test_selection_comparison_deterministic_across_workers():
     config = _case_b_config(trials=4)
     r1 = run_selection_comparison(config, workers=1)
     r2 = run_selection_comparison(config, workers=2)
-    assert r1.records == r2.records
+    assert same_records(r1, r2)
 
 
 def test_selection_comparison_validation():
@@ -262,6 +270,6 @@ def test_selection_comparison_validation():
 def test_selection_records_share_samples_per_trial():
     result = run_selection_comparison(_case_b_config(trials=3))
     by_trial = {}
-    for r in result.records:
-        by_trial.setdefault(r.trial_index, []).append(r.selector)
+    for trial, selector in zip(result.trial_index.tolist(), result.selector.tolist()):
+        by_trial.setdefault(trial, []).append(selector)
     assert all(sorted(v) == ["method1", "method2", "oracle"] for v in by_trial.values())

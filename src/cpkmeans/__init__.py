@@ -11,7 +11,6 @@ from .errors import ValidationError
 from .estimator import (
     ChangePointFit,
     estimate_tau,
-    objective,
     objective_bruteforce,
     sweep_estimate,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "rate_psi",
     "sobolev_sup",
     "ChangePointFit",
-    "objective",
     "objective_bruteforce",
     "estimate_tau",
     "sweep_estimate",

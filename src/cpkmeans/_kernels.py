@@ -19,7 +19,10 @@ of row subsets at once.  All three do the same operations in the same
 order (``sum x^2`` is numpy's pairwise sum over one contiguous column,
 whose order depends only on n; P_k and the sums over T are running
 sums), so the partial kernels equal the table's row and its per-subset
-argmins bit for bit.  ``benchmarks/bench_objective_table.py`` times them.
+argmins bit for bit.  ``tests/test_kernels.py`` checks the table against
+the direct formula in ``tests/helpers.py`` and each partial kernel
+against the table; ``studybench/run.py --trace 1`` times all three in
+the studies.
 """
 
 import numpy as np

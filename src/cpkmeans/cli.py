@@ -83,10 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--out", required=True)
     exp.add_argument("--trials", type=int, default=None)
     exp.add_argument("--seed", type=int, default=None)
-    exp.add_argument("--sigma", type=float, default=None)
-    exp.add_argument("--tau", type=float, default=None)
-    exp.add_argument("--T", type=int, default=None)
-    exp.add_argument("--c-lepski", type=float, default=None, dest="c_lepski")
     exp.add_argument("--workers", type=int, default=1)
 
     return parser
@@ -183,13 +179,13 @@ def _build_experiment(args) -> tuple[str, ExperimentConfig, int]:
         trials=args.trials if args.trials is not None else int(raw.get("trials", "1")),
         n_grid=_parse_int_list(raw.get("n_grid", "")),
         d=int(raw.get("d", "0")),
-        sigma=args.sigma if args.sigma is not None else float(raw.get("sigma", "1.0")),
-        tau=args.tau if args.tau is not None else float(raw.get("tau", "0.5")),
+        sigma=float(raw.get("sigma", "1.0")),
+        tau=float(raw.get("tau", "0.5")),
         case=case,
-        t_grid=(args.T,) if args.T is not None else _parse_int_list(raw.get("t_grid", "")),
+        t_grid=_parse_int_list(raw.get("t_grid", "")),
         n_sub=int(raw.get("n_sub", "100")),
         frac=float(raw.get("frac", "0.8")),
-        c_lepski=args.c_lepski if args.c_lepski is not None else float(raw.get("c_lepski", "16")),
+        c_lepski=float(raw.get("c_lepski", "16")),
         t_star=int(raw["t_star"]) if "t_star" in raw else None,
     )
     return study, config, args.workers

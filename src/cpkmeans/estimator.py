@@ -4,9 +4,8 @@ The split index is the k in {2, ..., n-2} minimizing the total
 within-segment sum of squares of the first T coordinates; the estimated
 change-point fraction is k / n.  Fits read that sum of squares off the
 centred CUSUM kernels in ``_kernels``, which evaluate every split at
-once; ``objective`` gives the same centred value for one split, and
-``objective_bruteforce`` recomputes it by the direct mean-then-SSE
-formula and exists purely to cross-check the kernels.
+once.  ``objective_bruteforce`` recomputes one split's sum of squares by
+the direct mean-then-SSE formula and exists purely to cross-check them.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from .model import SignalMatrix
 
 __all__ = [
     "ChangePointFit",
-    "objective",
     "objective_bruteforce",
     "estimate_tau",
     "sweep_estimate",
@@ -54,22 +52,11 @@ def _check_k(Y: SignalMatrix, k: int):
         raise ValidationError(f"k must lie in [1, {Y.n - 1}], got {k}")
 
 
-def objective(Y: SignalMatrix, T: int, k: int) -> float:
+def objective_bruteforce(Y: SignalMatrix, T: int, k: int) -> float:
     """Two-segment SSE of the first T coordinates when rows split after row k.
 
-    Computed in the kernels' centred CUSUM form, for this one split.
+    Computed by direct segment means and deviations, as the kernels' oracle.
     """
-    _check_t(Y, T)
-    _check_k(Y, k)
-    x = Y.values[:, :T] - Y.values[0, :T]
-    total = x.sum(axis=0)
-    cusum = x[:k].sum(axis=0) - (k / Y.n) * total
-    tss = np.sum(x * x) - total @ total / Y.n
-    return float(tss - Y.n / (k * (Y.n - k)) * (cusum @ cusum))
-
-
-def objective_bruteforce(Y: SignalMatrix, T: int, k: int) -> float:
-    """Same contract as ``objective``, by direct segment means and deviations."""
     _check_t(Y, T)
     _check_k(Y, k)
     first = Y.values[:k, :T]

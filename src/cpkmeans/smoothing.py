@@ -50,13 +50,12 @@ class SurrogateVector:
 class LepskiConfig:
     """Tuning for the windowed-energy selector.
 
-    ``log_scale`` defaults to ln(max(d, n)) at selection time; 16 is the
-    smallest admissible threshold constant independent of the unknown
-    smoothness radius.
+    ``c_lepski`` scales the threshold, whose log factor is always
+    ln(max(d, n)); 16 is the smallest admissible constant independent of
+    the unknown smoothness radius.
     """
 
     c_lepski: float = 16.0
-    log_scale: float | None = None
 
     def __post_init__(self):
         if not self.c_lepski > 0:
@@ -84,8 +83,7 @@ def lepski_select(z: SurrogateVector, config: LepskiConfig, n: int, d: int) -> i
     zv = np.asarray(z.z, dtype=np.float64)
     if zv.size != d:
         raise ValidationError(f"z has length {zv.size}, expected d={d}")
-    log_scale = config.log_scale if config.log_scale is not None else math.log(max(d, n))
-    thr = config.c_lepski * np.arange(1, d + 1) * z.nu_sq * log_scale
+    thr = config.c_lepski * np.arange(1, d + 1) * z.nu_sq * math.log(max(d, n))
     csum = np.concatenate([[0.0], np.cumsum(zv * zv)])
     excess = csum[1:] - thr
     suffix_max = np.maximum.accumulate(excess[::-1])[::-1]

@@ -1,5 +1,6 @@
 import csv
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,12 +252,30 @@ def test_experiment_bad_case_config_is_rejected_before_trials(
 
 def test_experiment_bad_c_lepski_is_rejected_before_trials(tmp_path, capsys):
     cfg = tmp_path / "rate.cfg"
-    cfg.write_text(RATE_CFG)
+    cfg.write_text(RATE_CFG + "c_lepski=0\n")
     out = tmp_path / "run"
-    args = ["experiment", "--config", str(cfg), "--out", str(out), "--c-lepski", "0"]
+    args = ["experiment", "--config", str(cfg), "--out", str(out)]
     assert main(args) == EXIT_VALIDATION
     assert "c_lepski must be > 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_readme_experiment_configs_build_as_written(tmp_path):
+    # Every key=value block in the README is a config `experiment` accepts
+    # verbatim; config files allow comments only on lines of their own.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [
+        block for block in readme.split("```")[1::2]
+        if any(line.startswith("study=") for line in block.splitlines())
+    ]
+    studies = []
+    for i, block in enumerate(blocks):
+        cfg = tmp_path / f"readme{i}.cfg"
+        cfg.write_text(block)
+        argv = ["experiment", "--config", str(cfg), "--out", str(tmp_path / "run")]
+        study, _, _ = cli._build_experiment(parse_invocation(argv))
+        studies.append(study)
+    assert studies == ["rate", "selection"]
 
 
 def test_experiment_repeated_config_key_is_rejected(tmp_path, capsys):

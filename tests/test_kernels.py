@@ -30,6 +30,10 @@ def _fuzz_matrices():
         yield np.vstack([half, half[::-1]])
         for offset in (1e6, 1e8):
             yield rng.normal(size=(n, d)) + offset
+    # The other study shapes: the rate study's samples and method 2's subsamples.
+    yield rng.normal(size=(500, 20))
+    yield rng.normal(size=(4000, 20))
+    yield rng.normal(size=(80, 200))
 
 
 def test_table_matches_reference_formula_exactly():

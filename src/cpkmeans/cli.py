@@ -135,12 +135,13 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
-def read_config_file(path) -> dict[str, str]:
+def read_config_file(path) -> dict[str, tuple[int, str]]:
+    """``key=value`` lines as {key: (line number, value)}; ``#`` starts a comment."""
     items = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
                 continue
             if "=" not in line:
                 raise ValidationError(f"{path}:{lineno}: expected key=value, got {line!r}")
@@ -148,8 +149,20 @@ def read_config_file(path) -> dict[str, str]:
             key = key.strip()
             if key in items:
                 raise ValidationError(f"{path}:{lineno}: repeated key {key!r}")
-            items[key] = value.strip()
+            items[key] = lineno, value.strip()
     return items
+
+
+# Each key's parser, and the defaults; all but ``study`` are ExperimentConfig fields.
+_CONFIG_KEYS = {
+    "study": str, "case": str, "base_seed": int, "trials": int, "n_grid": _parse_int_list,
+    "d": int, "sigma": float, "tau": float, "t_grid": _parse_int_list, "t_star": int,
+    "n_sub": int, "frac": float, "c_lepski": float,
+}
+_CONFIG_DEFAULTS = {
+    "study": "", "case": "rate", "base_seed": 0, "trials": 1, "n_grid": (), "d": 0,
+    "sigma": 1.0, "tau": 0.5, "t_grid": (),
+}
 
 
 def _build_experiment(args) -> tuple[str, ExperimentConfig, int]:
@@ -160,35 +173,24 @@ def _build_experiment(args) -> tuple[str, ExperimentConfig, int]:
         raw = read_config_file(args.config)
     except OSError as exc:
         raise ValidationError(f"cannot read config {args.config}: {exc}")
-    known = {
-        "study", "case", "base_seed", "trials", "n_grid", "d", "sigma", "tau",
-        "t_grid", "t_star", "n_sub", "frac", "c_lepski",
-    }
-    unknown = set(raw) - known
+    unknown = set(raw) - set(_CONFIG_KEYS)
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    study = raw.get("study", "")
+    fields = dict(_CONFIG_DEFAULTS)
+    for key, (lineno, text) in raw.items():
+        try:
+            fields[key] = _CONFIG_KEYS[key](text)
+        except ValueError:
+            raise ValidationError(f"{args.config}:{lineno}: cannot parse {key}={text!r}") from None
+    study = fields.pop("study")
     if study not in ("rate", "sweep", "selection"):
         raise ValidationError(f"study must be rate | sweep | selection, got {study!r}")
-    try:
-        case = MeanCase(raw.get("case", "rate"))
-    except ValueError:
-        raise ValidationError(f"case must be rate | caseA | caseB, got {raw.get('case')!r}")
-    config = ExperimentConfig(
-        base_seed=args.seed if args.seed is not None else int(raw.get("base_seed", "0")),
-        trials=args.trials if args.trials is not None else int(raw.get("trials", "1")),
-        n_grid=_parse_int_list(raw.get("n_grid", "")),
-        d=int(raw.get("d", "0")),
-        sigma=float(raw.get("sigma", "1.0")),
-        tau=float(raw.get("tau", "0.5")),
-        case=case,
-        t_grid=_parse_int_list(raw.get("t_grid", "")),
-        n_sub=int(raw.get("n_sub", "100")),
-        frac=float(raw.get("frac", "0.8")),
-        c_lepski=float(raw.get("c_lepski", "16")),
-        t_star=int(raw["t_star"]) if "t_star" in raw else None,
-    )
-    return study, config, args.workers
+    if fields["case"] not in {case.value for case in MeanCase}:
+        raise ValidationError(f"case must be rate | caseA | caseB, got {fields['case']!r}")
+    for key, override in (("base_seed", args.seed), ("trials", args.trials)):
+        if override is not None:
+            fields[key] = override
+    return study, ExperimentConfig(**fields), args.workers
 
 
 _RECORD_HEADER = ["trial_index", "n", "T", "tau_true", "tau_hat", "abs_error", "selector"]

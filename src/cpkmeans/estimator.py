@@ -30,8 +30,7 @@ __all__ = [
 class ChangePointFit:
     """Result of one fit: chosen split, its fraction, and the full per-k criterion.
 
-    ``objective`` is read-only.  A fit from ``sweep_estimate`` holds a view
-    of the sweep's shared objective table, not a copy of its row.
+    ``objective`` is read-only.
     """
 
     k_hat: int
@@ -79,23 +78,18 @@ def estimate_tau(Y: SignalMatrix, T: int) -> ChangePointFit:
     return ChangePointFit(k_hat=k_hat, tau_hat=k_hat / Y.n, T_used=T, objective=row)
 
 
-def sweep_estimate(Y: SignalMatrix, T_list) -> list[ChangePointFit]:
+def sweep_estimate(Y: SignalMatrix, T_list) -> tuple[np.ndarray, np.ndarray]:
     """Fit every requested truncation level off one shared objective table.
 
-    The table is made read-only, every k_hat comes from one argmin over
-    the requested rows (first minimum, as in ``estimate_tau``), and each
-    fit's ``objective`` is a view of its table row.
+    Returns ``(k_hat, table)``: the intp split of each level in ``T_list``
+    order, the first minimum of its row as in ``estimate_tau``, and the read-only
+    (d, n - 3) table, whose row T - 1 is ``estimate_tau(Y, T).objective`` bit for bit.
     """
-    ts = [int(t) for t in T_list]
-    if not ts:
+    ts = np.fromiter(T_list, dtype=np.intp)
+    if not ts.size:
         raise ValidationError("T_list must be non-empty")
-    _check_t(Y, min(ts))
-    _check_t(Y, max(ts))
+    _check_t(Y, int(ts.min()))
+    _check_t(Y, int(ts.max()))
     table = objective_table(np.ascontiguousarray(Y.values))
     table.flags.writeable = False
-    k_hats = (table[np.array(ts) - 1].argmin(axis=1) + 2).tolist()
-    n = Y.n
-    return [
-        ChangePointFit(k_hat=k, tau_hat=k / n, T_used=t, objective=table[t - 1])
-        for t, k in zip(ts, k_hats)
-    ]
+    return table[ts - 1].argmin(axis=1) + 2, table

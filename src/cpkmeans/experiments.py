@@ -7,16 +7,15 @@ sequentially or on a process pool.
 
 The three studies (error against n at a fixed T, error against T, and
 the selectors against the oracle T) share one pipeline.  A trial returns
-its records as columns; ``_run_study`` runs the trials, concatenates
-their columns and summarises them by (n, T, selector) into one
-``StudyResult``.
+its records as columns; ``_run_study`` runs the trials, stacks their
+columns into one (trial, row) grid and summarises each row of each n
+into one ``StudyResult``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -194,6 +193,7 @@ def _trial_sample(config: ExperimentConfig, trial: int, n: int, T: int, tag: str
 def _run_trials(fn, payloads, workers: int) -> list:
     if workers <= 1:
         return [fn(p) for p in payloads]
+    from concurrent.futures import ProcessPoolExecutor  # not loaded by serial runs
     chunk = max(1, len(payloads) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, payloads, chunksize=chunk))
@@ -213,8 +213,8 @@ def _rate_trial(payload):
 def _sweep_trial(payload):
     config, n, trial = payload
     _, sample = _trial_sample(config, trial, n, 0, "sweep")
-    fits = sweep_estimate(sample, config.t_grid)
-    return config.t_grid, [fit.tau_hat for fit in fits], ["fixed-T"] * len(fits)
+    k_hat, _ = sweep_estimate(sample, config.t_grid)
+    return config.t_grid, k_hat / n, ["fixed-T"] * len(k_hat)
 
 
 def _selection_trial(payload):
@@ -239,23 +239,26 @@ _PICKS_T = frozenset({"method1", "method2"})
 def _run_study(trial_fn, config: ExperimentConfig, workers: int) -> StudyResult:
     payloads = [(config, n, trial) for n in config.n_grid for trial in range(config.trials)]
     batches = _run_trials(trial_fn, payloads, workers)
-    groups = {}  # (n, T, selector) -> group number, in order of first appearance
-    group = np.array([
-        groups.setdefault((n, None if tag in _PICKS_T else t, tag), len(groups))
-        for (_, n, _), (ts, _, tags) in zip(payloads, batches)
-        for t, tag in zip(ts, tags)
-    ])
-    T, tau_hat, selector = (np.concatenate(column) for column in zip(*batches))
-    sizes = [len(batch[0]) for batch in batches]
+    T, tau_hat, selector = (np.array(column) for column in zip(*batches))
+    # Every trial returns the same (T, selector) rows in the same order, T aside
+    # where the selector picks it: the records form a (trial, row) grid, and each
+    # summary group is one row's column of one n's block, in (n, row) order.
+    keyed = ~np.isin(selector[0], list(_PICKS_T))
+    if not ((selector == selector[0]).all() and (T[:, keyed] == T[0, keyed]).all()):
+        raise RuntimeError("trials returned different (T, selector) rows")
+    rows = list(zip(np.where(keyed, T[0], None).tolist(), selector[0].tolist()))
     abs_error = np.abs(tau_hat - config.tau)
+    blocks = abs_error.reshape(len(config.n_grid), config.trials, len(rows))
     return StudyResult(
-        trial_index=np.repeat([p[2] for p in payloads], sizes),
-        n=np.repeat([p[1] for p in payloads], sizes),
-        T=T,
-        tau_hat=tau_hat,
-        abs_error=abs_error,
-        selector=selector,
-        summary={key: summarize(abs_error[group == g]) for key, g in groups.items()},
+        trial_index=np.tile(np.repeat(np.arange(config.trials), len(rows)), len(config.n_grid)),
+        n=np.repeat(config.n_grid, config.trials * len(rows)),
+        T=T.ravel(), tau_hat=tau_hat.ravel(), abs_error=abs_error.ravel(),
+        selector=selector.ravel(),
+        summary={
+            (n, t, tag): summarize(block[:, j])
+            for n, block in zip(config.n_grid, blocks)
+            for j, (t, tag) in enumerate(rows)
+        },
     )
 
 

@@ -123,12 +123,13 @@ class SobolevClass:
 
 def generate_sample(spec: ModelSpec, seed: int) -> SignalMatrix:
     """Draw one sample from the spec; identical (spec, seed) pairs give identical output."""
-    rng = np.random.default_rng(seed)
-    c = spec.change_index
-    means = np.empty((spec.n, spec.d))
-    means[:c] = spec.theta_minus
-    means[c:] = spec.theta_plus
-    return SignalMatrix(means + spec.sigma * rng.standard_normal((spec.n, spec.d)))
+    # In place, so the draw is the only (n, d) array; IEEE addition commutes,
+    # so sigma * z + mean equals mean + sigma * z bit for bit.
+    values = np.random.default_rng(seed).standard_normal((spec.n, spec.d))
+    values *= spec.sigma
+    values[: spec.change_index] += spec.theta_minus
+    values[spec.change_index :] += spec.theta_plus
+    return SignalMatrix(values)
 
 
 def gap_squared(spec: ModelSpec, T: int) -> float:

@@ -3,8 +3,10 @@
 These deliberately avoid the package's fast paths: the Lepski oracle
 enumerates every (k, m, j) window literally, the two-regime oracle
 evaluates the split criterion segment by segment, the table reference
-is the objective table's direct (T, k) centred CUSUM formula, and the
-method-2 oracle builds one full objective table per subsample.
+is the objective table's direct (T, k) centred CUSUM formula, the
+method-2 oracle builds one full objective table per subsample, the
+sample reference adds a full means matrix to the scaled noise, and the
+summary reference groups the records one at a time in a dict.
 """
 
 import math
@@ -12,6 +14,7 @@ import math
 import numpy as np
 
 from cpkmeans._kernels import objective_table
+from cpkmeans.stats import summarize
 
 
 def lepski_bruteforce(z: np.ndarray, nu_sq: float, c_lepski: float, n: int, d: int) -> int:
@@ -90,3 +93,28 @@ def same_records(a, b) -> bool:
         getattr(a, c).dtype == getattr(b, c).dtype and np.array_equal(getattr(a, c), getattr(b, c))
         for c in columns
     )
+
+
+def generate_sample_reference(spec, seed: int) -> np.ndarray:
+    """The sample as ``means + sigma * z``, with the (n, d) means matrix built in full."""
+    rng = np.random.default_rng(seed)
+    c = spec.change_index
+    means = np.empty((spec.n, spec.d))
+    means[:c] = spec.theta_minus
+    means[c:] = spec.theta_plus
+    return means + spec.sigma * rng.standard_normal((spec.n, spec.d))
+
+
+def summary_by_record(result) -> dict:
+    """A StudyResult's summary by one pass over its records.
+
+    Each record joins the group (n, T, selector), T None for method 1 and
+    method 2, and groups keep the order in which they first appear.
+    """
+    groups = {}
+    for i, (n, t, tag) in enumerate(
+        zip(result.n.tolist(), result.T.tolist(), result.selector.tolist())
+    ):
+        key = (n, None if tag in ("method1", "method2") else t, tag)
+        groups.setdefault(key, []).append(i)
+    return {key: summarize(result.abs_error[rows]) for key, rows in groups.items()}

@@ -1,5 +1,7 @@
 import csv
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -262,7 +264,7 @@ def test_experiment_bad_c_lepski_is_rejected_before_trials(tmp_path, capsys):
 
 def test_readme_experiment_configs_build_as_written(tmp_path):
     # Every key=value block in the README is a config `experiment` accepts
-    # verbatim; config files allow comments only on lines of their own.
+    # verbatim.
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = [
         block for block in readme.split("```")[1::2]
@@ -276,6 +278,57 @@ def test_readme_experiment_configs_build_as_written(tmp_path):
         study, _, _ = cli._build_experiment(parse_invocation(argv))
         studies.append(study)
     assert studies == ["rate", "selection"]
+
+
+def test_experiment_config_trailing_comments_are_ignored(tmp_path):
+    plain, commented = tmp_path / "plain.cfg", tmp_path / "commented.cfg"
+    plain.write_text(RATE_CFG)
+    commented.write_text(
+        RATE_CFG.replace("study=rate\n", "study=rate          # or: sweep, selection\n")
+        .replace("sigma=1.0\n", "sigma=1.0  # noise\n")
+        .replace("n_grid=20,40\n", "n_grid=20,40#two sizes\n")
+        + "   # an indented comment line\n"
+    )
+    built = [
+        cli._build_experiment(parse_invocation(["experiment", "--config", str(cfg), "--out", "o"]))
+        for cfg in (plain, commented)
+    ]
+    assert built[0] == built[1]
+    assert built[1][0] == "rate" and built[1][1].sigma == 1.0
+
+
+@pytest.mark.parametrize(
+    "line, replacement, lineno",
+    [
+        ("sigma=1.0", "sigma=1.0.0  # noise", 8),
+        ("d=20", "d=2O", 7),
+        ("trials=2", "trials=2.5", 5),
+        ("t_grid=10", "t_grid=1:2:3", 10),
+        ("n_grid=20,40", "n_grid=20;40", 6),
+    ],
+)
+def test_experiment_bad_number_names_key_and_line(tmp_path, capsys, line, replacement, lineno):
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text(RATE_CFG.replace(line + "\n", replacement + "\n"))
+    out = tmp_path / "run"
+    assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    key, text = replacement.split("#")[0].strip().split("=")
+    assert f"{cfg}:{lineno}: cannot parse {key}={text!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_import_loads_no_process_pool():
+    # Only runs with more than one worker start a pool, so importing the
+    # CLI loads neither the pool nor multiprocessing.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import sys, cpkmeans.cli; "
+        "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_experiment_repeated_config_key_is_rejected(tmp_path, capsys):

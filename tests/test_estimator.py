@@ -92,21 +92,22 @@ def test_sweep_singleton_matches_single_fit():
     rng = np.random.default_rng(13)
     y = _random_matrix(rng, n=12, d=5)
     single = estimate_tau(y, 1)
-    (swept,) = sweep_estimate(y, [1])
-    assert swept.k_hat == single.k_hat
-    assert np.array_equal(swept.objective, single.objective)
+    k_hat, table = sweep_estimate(y, [1])
+    assert k_hat.tolist() == [single.k_hat]
+    assert np.array_equal(table[0], single.objective)
 
 
 def test_sweep_matches_independent_fits_exactly():
     rng = np.random.default_rng(14)
     y = _random_matrix(rng, n=30, d=10)
-    fits = sweep_estimate(y, range(1, 11))
-    for t, fit in zip(range(1, 11), fits):
+    k_hat, table = sweep_estimate(y, range(1, 11))
+    assert k_hat.dtype == np.intp and k_hat.shape == (10,)
+    assert table.shape == (10, 27)
+    for t, k in zip(range(1, 11), k_hat.tolist()):
         single = estimate_tau(y, t)
-        assert fit.k_hat == single.k_hat
-        assert fit.tau_hat == single.tau_hat
-        assert fit.T_used == t
-        assert np.array_equal(fit.objective, single.objective)
+        assert k == single.k_hat
+        assert k / y.n == single.tau_hat
+        assert np.array_equal(table[t - 1], single.objective)
 
 
 def test_sweep_argmins_match_table_rows_with_ties():
@@ -119,41 +120,43 @@ def test_sweep_argmins_match_table_rows_with_ties():
     y = SignalMatrix(values)
     table = objective_table(values)
     assert sum(int((row == row.min()).sum() > 1) for row in table) > 20
-    fits = sweep_estimate(y, range(1, 201))
-    assert len(fits) == 200
-    for t, fit in zip(range(1, 201), fits):
-        assert fit.k_hat == int(np.argmin(table[t - 1])) + 2
-        assert fit.tau_hat == fit.k_hat / 100
-        assert fit.T_used == t
+    k_hat, swept = sweep_estimate(y, range(1, 201))
+    assert k_hat.shape == (200,)
+    assert np.array_equal(swept, table)
+    for t, k in zip(range(1, 201), k_hat.tolist()):
+        assert k == int(np.argmin(table[t - 1])) + 2
+    # The sweep study's tau_hat column, k_hat / n in float64, is Python's k / n.
+    tau_hat = k_hat / 100
+    assert tau_hat.dtype == np.float64
+    assert tau_hat.tolist() == [k / 100 for k in k_hat.tolist()]
 
 
 def test_fit_objective_is_read_only():
     rng = np.random.default_rng(20)
     y = _random_matrix(rng, n=15, d=6)
-    fits = [estimate_tau(y, 3)] + sweep_estimate(y, [1, 6])
-    for fit in fits:
-        assert not fit.objective.flags.writeable
+    _, table = sweep_estimate(y, [1, 6])
+    for objective in (estimate_tau(y, 3).objective, table, table[0], table[5]):
+        assert not objective.flags.writeable
         with pytest.raises(ValueError):
-            fit.objective[0] = 0.0
+            objective[0] = 0.0
 
 
 def test_sweep_keeps_order_and_repeats():
     rng = np.random.default_rng(21)
     y = _random_matrix(rng, n=18, d=4)
-    fits = sweep_estimate(y, [3, 1, 3])
-    assert [fit.T_used for fit in fits] == [3, 1, 3]
-    for fit in fits:
-        single = estimate_tau(y, fit.T_used)
-        assert fit.k_hat == single.k_hat
-        assert np.array_equal(fit.objective, single.objective)
+    k_hat, table = sweep_estimate(y, [3, 1, 3])
+    assert k_hat.tolist() == [estimate_tau(y, t).k_hat for t in (3, 1, 3)]
+    for t in (3, 1):
+        assert np.array_equal(table[t - 1], estimate_tau(y, t).objective)
 
 
 def test_sweep_noiseless_recovers_tau_everywhere():
     rng = np.random.default_rng(15)
     tm = rng.normal(size=6)
     spec = ModelSpec(n=12, d=6, tau=0.5, theta_minus=tm, theta_plus=tm + 1.0, sigma=0.0)
-    for fit in sweep_estimate(generate_sample(spec, 0), range(1, 7)):
-        assert fit.tau_hat == 0.5
+    k_hat, _ = sweep_estimate(generate_sample(spec, 0), range(1, 7))
+    assert k_hat.tolist() == [6] * 6
+    assert np.all(k_hat / 12 == 0.5)
 
 
 def test_sweep_validation():
@@ -228,9 +231,7 @@ def test_large_offset_moves_no_k_hat(offset):
         assert [estimate_tau(shifted, t).k_hat for t in ts] == [
             estimate_tau(y, t).k_hat for t in ts
         ]
-        assert [fit.k_hat for fit in sweep_estimate(shifted, ts)] == [
-            fit.k_hat for fit in sweep_estimate(y, ts)
-        ]
+        assert np.array_equal(sweep_estimate(shifted, ts)[0], sweep_estimate(y, ts)[0])
         assert method2_select(shifted, 100, 0.8, seed) == method2_select(y, 100, 0.8, seed)
         draw = np.random.default_rng(seed)
         rows = np.stack([np.sort(draw.choice(100, size=80, replace=False)) for _ in range(100)])

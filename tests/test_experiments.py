@@ -18,7 +18,8 @@ from cpkmeans import (
     sample_rate_means,
 )
 
-from helpers import same_records
+from cpkmeans.experiments import _run_study
+from helpers import same_records, summary_by_record
 
 
 def test_derive_trial_seed_stability():
@@ -273,3 +274,48 @@ def test_selection_records_share_samples_per_trial():
     for trial, selector in zip(result.trial_index.tolist(), result.selector.tolist()):
         by_trial.setdefault(trial, []).append(selector)
     assert all(sorted(v) == ["method1", "method2", "oracle"] for v in by_trial.values())
+
+
+@pytest.mark.parametrize("study", ["rate", "sweep", "selection"])
+def test_grid_summary_matches_per_record_grouping(study):
+    # Two sample sizes on the rate study; one (trial, row) grid per n.
+    if study == "rate":
+        config = _rate_config(trials=4, n_grid=(20, 40, 60))
+        result = run_rate_study(config)
+    else:
+        config = _case_b_config(trials=4)
+        runner = run_t_sweep_study if study == "sweep" else run_selection_comparison
+        result = runner(config)
+    reference = summary_by_record(result)
+    assert list(result.summary.items()) == list(reference.items())
+    rows = {"rate": 1, "sweep": 25, "selection": 3}[study]
+    assert len(result.summary) == len(config.n_grid) * rows
+    assert len(result.n) == len(config.n_grid) * config.trials * rows
+
+
+def test_run_study_rejects_trials_with_different_rows():
+    config = _case_b_config(trials=3)
+
+    def reordered(payload):  # trial 1 lists its selectors in another order
+        tags = ["method1", "oracle"] if payload[2] == 1 else ["oracle", "method1"]
+        return [5, 5], [0.3, 0.3], tags
+
+    def moved(payload):  # a fixed-T row whose T changes between trials
+        return [5 + payload[2]], [0.3], ["fixed-T"]
+
+    def ragged(payload):
+        return [5] * (1 + payload[2]), [0.3] * (1 + payload[2]), ["fixed-T"] * (1 + payload[2])
+
+    for trial_fn in (reordered, moved):
+        with pytest.raises(RuntimeError, match="different"):
+            _run_study(trial_fn, config, 1)
+    with pytest.raises(ValueError):
+        _run_study(ragged, config, 1)
+
+
+def test_run_study_keys_picked_t_as_none():
+    # Method 1's T may change between trials; its group has no T.
+    config = _case_b_config(trials=3)
+    result = _run_study(lambda payload: ([payload[2] + 1], [0.3], ["method1"]), config, 1)
+    assert list(result.summary) == [(20, None, "method1")]
+    assert result.T.tolist() == [1, 2, 3]

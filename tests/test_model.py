@@ -14,6 +14,8 @@ from cpkmeans import (
     sobolev_sup,
 )
 
+from helpers import generate_sample_reference
+
 
 def test_generate_noiseless_null_is_zero_matrix():
     spec = ModelSpec(n=6, d=3, tau=0.5, theta_minus=[0, 0, 0], theta_plus=[0, 0, 0], sigma=0.0)
@@ -33,6 +35,27 @@ def test_generate_determinism():
     a = generate_sample(spec, 42)
     b = generate_sample(spec, 42)
     assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize(
+    "n, tau, sigma, change_index",
+    [(4000, 0.3, 1.0, 1200), (50, 0.3, 0.0, 15), (50, 0.001, 2.5, 1), (50, 0.999, 2.5, 49)],
+)
+def test_generate_matches_means_plus_noise_bit_for_bit(n, tau, sigma, change_index):
+    # tau = 0.001 and 0.999 clamp the change index to its edges 1 and n - 1.
+    # Zero mean coordinates with sigma = 0 add signed zeros (0 * z < 0 is -0.0),
+    # so the bytes are compared, not the values.
+    d = 20
+    rng = np.random.default_rng(n)
+    theta_plus = rng.normal(size=d)
+    theta_plus[:5] = 0.0
+    spec = ModelSpec(
+        n=n, d=d, tau=tau, theta_minus=rng.normal(size=d), theta_plus=theta_plus, sigma=sigma
+    )
+    assert spec.change_index == change_index
+    for seed in (0, 1, 2**63 - 2):
+        sample = generate_sample(spec, seed).values
+        assert sample.tobytes() == generate_sample_reference(spec, seed).tobytes()
 
 
 def test_generate_row_means_converge():

@@ -36,8 +36,6 @@ from .model import (
     sobolev_sup,
 )
 from .smoothing import (
-    LepskiConfig,
-    SurrogateVector,
     estimate_adaptive,
     lepski_select,
     method1_select,
@@ -68,8 +66,6 @@ __all__ = [
     "objective_bruteforce",
     "estimate_tau",
     "sweep_estimate",
-    "SurrogateVector",
-    "LepskiConfig",
     "surrogate",
     "lepski_select",
     "method1_select",

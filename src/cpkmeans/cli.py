@@ -38,7 +38,7 @@ from .experiments import (
     sample_case_means,
 )
 from .model import ModelSpec, SignalMatrix, generate_sample
-from .smoothing import LepskiConfig, lepski_select, method1_select, method2_select, surrogate
+from .smoothing import C_LEPSKI, lepski_select, method1_select, method2_select, surrogate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--sigma", type=float, default=None, help="noise level; lepski needs it"
     )
     sel.add_argument("--method", required=True, choices=["lepski", "method1", "method2"])
-    sel.add_argument("--c-lepski", type=float, default=16.0, dest="c_lepski")
+    sel.add_argument("--c-lepski", type=float, default=C_LEPSKI, dest="c_lepski")
     sel.add_argument("--n-sub", type=int, default=100, dest="n_sub")
     sel.add_argument("--frac", type=float, default=0.8)
     sel.add_argument("--seed", type=int, default=0)
@@ -274,11 +274,9 @@ def _run_select_t(args) -> int:
         raise ValidationError("--sigma is required for --method lepski")
     sample = SignalMatrix(read_matrix_csv(args.input))
     if args.method == "lepski":
-        z = surrogate(sample, args.sigma)
-        t_hat = lepski_select(z, LepskiConfig(c_lepski=args.c_lepski), sample.n, sample.d)
+        t_hat = lepski_select(surrogate(sample), sample.n, args.sigma, args.c_lepski)
     elif args.method == "method1":
-        # Method 1 reads only the surrogate's z, which does not depend on sigma.
-        t_hat = method1_select(surrogate(sample, 1.0))
+        t_hat = method1_select(surrogate(sample))
     else:
         t_hat = method2_select(sample, args.n_sub, args.frac, args.seed)
     print(t_hat)
@@ -287,8 +285,6 @@ def _run_select_t(args) -> int:
 
 def _run_experiment(args) -> int:
     study, config, workers = _build_experiment(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if study == "rate":
         result = run_rate_study(config, workers=workers)
         slope_mean, slope_median = run_regression_study(result)
@@ -301,6 +297,9 @@ def _run_experiment(args) -> int:
         result = run_selection_comparison(config, workers=workers)
         for (_, _, tag), stats in result.summary.items():
             print(f"{tag}_mean={_fmt(stats.mean)}")
+    # Made only now, so a study that rejects its config leaves no directory.
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_records(out_dir / "records.csv", config.tau, result)
     _write_summary(out_dir / "summary.csv", study, config, result)
     return EXIT_OK

@@ -24,7 +24,10 @@ import numpy as np
 from .errors import ValidationError
 from .estimator import estimate_tau, sweep_estimate
 from .model import ModelSpec, generate_sample
-from .smoothing import LepskiConfig, method1_select, method2_select, subsample_size, surrogate
+from .smoothing import (
+    C_LEPSKI, check_c_lepski, check_subsampling, method1_select, method2_select, subsample_size,
+    surrogate,
+)
 from .stats import SummaryStats, fit_line, summarize
 
 __all__ = [
@@ -76,7 +79,7 @@ class ExperimentConfig:
     t_grid: tuple[int, ...]
     n_sub: int = 100
     frac: float = 0.8
-    c_lepski: float = 16.0
+    c_lepski: float = C_LEPSKI
     t_star: int | None = None
 
     def __post_init__(self):
@@ -92,7 +95,8 @@ class ExperimentConfig:
         _check_case_d(self.case, self.d)
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValidationError(f"sigma must be finite and >= 0, got {self.sigma}")
-        LepskiConfig(c_lepski=self.c_lepski)  # rejects c_lepski <= 0 or NaN
+        check_c_lepski(self.c_lepski)
+        check_subsampling(self.n_sub, self.frac)
         if not self.n_grid:
             raise ValidationError("n_grid must be non-empty")
         _check_distinct("n_grid", self.n_grid)
@@ -101,7 +105,6 @@ class ExperimentConfig:
                 raise ValidationError(f"every n must be >= 4, got {n}")
             if abs(self.tau * n - round(self.tau * n)) > 1e-9:
                 raise ValidationError(f"tau * n must be integral, got tau={self.tau}, n={n}")
-            subsample_size(n, self.n_sub, self.frac)
         if not self.t_grid:
             raise ValidationError("t_grid must be non-empty")
         _check_distinct("t_grid", self.t_grid)
@@ -220,10 +223,9 @@ def _sweep_trial(payload):
 def _selection_trial(payload):
     config, n, trial = payload
     rng, sample = _trial_sample(config, trial, n, 0, "selection")
-    z = surrogate(sample, config.sigma)
     picks = {
         "oracle": config.t_star,
-        "method1": method1_select(z),
+        "method1": method1_select(surrogate(sample)),
         "method2": method2_select(
             sample, config.n_sub, config.frac, int(rng.integers(0, _SEED_CAP))
         ),
@@ -239,21 +241,22 @@ _PICKS_T = frozenset({"method1", "method2"})
 def _run_study(trial_fn, config: ExperimentConfig, workers: int) -> StudyResult:
     payloads = [(config, n, trial) for n in config.n_grid for trial in range(config.trials)]
     batches = _run_trials(trial_fn, payloads, workers)
-    T, tau_hat, selector = (np.array(column) for column in zip(*batches))
+    T, tau_hat, selectors = zip(*batches)
+    T, tau_hat, selector = np.array(T), np.array(tau_hat), selectors[0]
     # Every trial returns the same (T, selector) rows in the same order, T aside
     # where the selector picks it: the records form a (trial, row) grid, and each
     # summary group is one row's column of one n's block, in (n, row) order.
-    keyed = ~np.isin(selector[0], list(_PICKS_T))
-    if not ((selector == selector[0]).all() and (T[:, keyed] == T[0, keyed]).all()):
+    keyed = ~np.isin(selector, list(_PICKS_T))
+    if selectors.count(selector) < len(selectors) or (T[:, keyed] != T[0, keyed]).any():
         raise RuntimeError("trials returned different (T, selector) rows")
-    rows = list(zip(np.where(keyed, T[0], None).tolist(), selector[0].tolist()))
+    rows = list(zip(np.where(keyed, T[0], None).tolist(), selector))
     abs_error = np.abs(tau_hat - config.tau)
     blocks = abs_error.reshape(len(config.n_grid), config.trials, len(rows))
     return StudyResult(
         trial_index=np.tile(np.repeat(np.arange(config.trials), len(rows)), len(config.n_grid)),
         n=np.repeat(config.n_grid, config.trials * len(rows)),
         T=T.ravel(), tau_hat=tau_hat.ravel(), abs_error=abs_error.ravel(),
-        selector=selector.ravel(),
+        selector=np.tile(selector, len(batches)),
         summary={
             (n, t, tag): summarize(block[:, j])
             for n, block in zip(config.n_grid, blocks)
@@ -303,4 +306,5 @@ def run_selection_comparison(config: ExperimentConfig, workers: int = 1) -> Stud
         raise ValidationError("selection comparison uses a single sample size")
     if config.t_star is None:
         raise ValidationError("selection comparison needs t_star (oracle T)")
+    subsample_size(config.n_grid[0], config.n_sub, config.frac)
     return _run_study(_selection_trial, config, workers)

@@ -15,7 +15,6 @@ the truncation level T from it or from the sample directly:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +26,7 @@ from .estimator import ChangePointFit, estimate_tau
 from .model import SignalMatrix
 
 __all__ = [
-    "SurrogateVector",
-    "LepskiConfig",
+    "C_LEPSKI",
     "surrogate",
     "lepski_select",
     "method1_select",
@@ -38,52 +36,40 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SurrogateVector:
-    """Off-line contrast vector with the noise variance of each coordinate."""
-
-    z: np.ndarray
-    nu_sq: float
+# The windowed-energy threshold's constant: 16 is the smallest admissible
+# constant independent of the unknown smoothness radius.
+C_LEPSKI = 16.0
 
 
-@dataclass(frozen=True)
-class LepskiConfig:
-    """Tuning for the windowed-energy selector.
-
-    ``c_lepski`` scales the threshold, whose log factor is always
-    ln(max(d, n)); 16 is the smallest admissible constant independent of
-    the unknown smoothness radius.
-    """
-
-    c_lepski: float = 16.0
-
-    def __post_init__(self):
-        if not self.c_lepski > 0:
-            raise ValidationError(f"c_lepski must be > 0, got {self.c_lepski}")
+def check_c_lepski(c_lepski: float):
+    if not c_lepski > 0:
+        raise ValidationError(f"c_lepski must be > 0, got {c_lepski}")
 
 
-def surrogate(Y: SignalMatrix, sigma: float) -> SurrogateVector:
-    """Full column mean minus (2/n) times the sum of the first floor(n/2) rows."""
+def surrogate(Y: SignalMatrix) -> np.ndarray:
+    """Full column mean minus (2/n) times the sum of the first floor(n/2) rows,
+    read-only; each coordinate's noise variance is sigma^2 / n."""
     v = Y.values
     n = Y.n
     z = v.mean(axis=0) - (2.0 / n) * v[: n // 2].sum(axis=0)
     z.flags.writeable = False
-    return SurrogateVector(z=z, nu_sq=sigma * sigma / n)
+    return z
 
 
-def lepski_select(z: SurrogateVector, config: LepskiConfig, n: int, d: int) -> int:
-    """Smallest k such that every window [m, j] with k <= m <= j <= d has
-    energy sum(z[m..j]**2) <= c_lepski * j * nu_sq * ln(max(d, n)); d if none.
+def lepski_select(z: np.ndarray, n: int, sigma: float, c_lepski: float = C_LEPSKI) -> int:
+    """Smallest k such that every window [m, j] with k <= m <= j <= d = len(z)
+    has energy sum(z[m..j]**2) <= c_lepski * j * (sigma^2 / n) * ln(max(d, n));
+    d if none.
 
     Since the summands are non-negative the binding window for each j
     starts at m = k, so the condition reduces to
     C[k-1] >= max_{j >= k} (C[j] - thr(j)) with C the prefix sums of
     z**2, evaluated here with one suffix-max scan.
     """
-    zv = np.asarray(z.z, dtype=np.float64)
-    if zv.size != d:
-        raise ValidationError(f"z has length {zv.size}, expected d={d}")
-    thr = config.c_lepski * np.arange(1, d + 1) * z.nu_sq * math.log(max(d, n))
+    check_c_lepski(c_lepski)
+    zv = np.asarray(z, dtype=np.float64)
+    d = zv.size
+    thr = c_lepski * np.arange(1, d + 1) * (sigma * sigma / n) * math.log(max(d, n))
     csum = np.concatenate([[0.0], np.cumsum(zv * zv)])
     excess = csum[1:] - thr
     suffix_max = np.maximum.accumulate(excess[::-1])[::-1]
@@ -91,7 +77,7 @@ def lepski_select(z: SurrogateVector, config: LepskiConfig, n: int, d: int) -> i
     return int(hits[0]) + 1 if hits.size else d
 
 
-def method1_select(z: SurrogateVector) -> int:
+def method1_select(z: np.ndarray) -> int:
     """Smallest T minimizing the two-regime within-group SSE of the surrogate.
 
     Each group's SSE is ``sum z^2 - (sum z)^2 / size``, read off running
@@ -99,7 +85,7 @@ def method1_select(z: SurrogateVector) -> int:
     common offset does not cancel.  The complementary group is empty at
     T = d and contributes 0.
     """
-    zv = np.asarray(z.z, dtype=np.float64)
+    zv = np.asarray(z, dtype=np.float64)
     d = zv.size
     if d < 1:
         raise ValidationError("surrogate vector must be non-empty")
@@ -113,12 +99,16 @@ def method1_select(z: SurrogateVector) -> int:
     return int(np.argmin(scores)) + 1
 
 
-def subsample_size(n: int, n_sub: int, frac: float) -> int:
-    """Rows per method-2 subsample, floor(frac * n), after checking the tuning."""
+def check_subsampling(n_sub: int, frac: float):
     if n_sub < 2:
         raise ValidationError(f"n_sub must be >= 2, got {n_sub}")
     if not 0.0 < frac < 1.0:
         raise ValidationError(f"frac must lie in (0, 1), got {frac}")
+
+
+def subsample_size(n: int, n_sub: int, frac: float) -> int:
+    """Rows per method-2 subsample, floor(frac * n), after checking the tuning."""
+    check_subsampling(n_sub, frac)
     m = int(frac * n)
     if m < 4:
         raise ValidationError(f"subsample of {m} rows is too small (need >= 4)")
@@ -139,9 +129,6 @@ def method2_select(Y: SignalMatrix, n_sub: int, frac: float, seed: int) -> int:
     return int(np.argmin(tau_hats.var(axis=0, ddof=1))) + 1
 
 
-def estimate_adaptive(
-    Y: SignalMatrix, sigma: float, config: LepskiConfig
-) -> ChangePointFit:
-    """Plug the selected truncation level into the change-point fit."""
-    z = surrogate(Y, sigma)
-    return estimate_tau(Y, lepski_select(z, config, Y.n, Y.d))
+def estimate_adaptive(Y: SignalMatrix, sigma: float, c_lepski: float = C_LEPSKI) -> ChangePointFit:
+    """Plug the windowed-energy rule's truncation level into the change-point fit."""
+    return estimate_tau(Y, lepski_select(surrogate(Y), Y.n, sigma, c_lepski))

@@ -15,11 +15,9 @@ from helpers import lepski_bruteforce, same_records
 
 from cpkmeans import (
     ExperimentConfig,
-    LepskiConfig,
     MeanCase,
     ModelSpec,
     SignalMatrix,
-    SurrogateVector,
     chi_square_moderate_bound,
     chi_square_tail_bound,
     estimate_tau,
@@ -119,9 +117,7 @@ def test_criterion_3_lepski_definitional_oracle():
             zv = rng.normal(0, sigma, d) * (rng.random(d) < 0.3)
         nu_sq = sigma * sigma / n
         c_l = float(rng.uniform(1.0, 32.0))
-        fast = lepski_select(
-            SurrogateVector(z=zv, nu_sq=nu_sq), LepskiConfig(c_lepski=c_l), n, d
-        )
+        fast = lepski_select(zv, n, sigma, c_l)
         assert fast == lepski_bruteforce(zv, nu_sq, c_l, n, d)
     _report(
         "criterion 3", True,

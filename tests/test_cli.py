@@ -235,21 +235,35 @@ def test_experiment_bad_subsampling_is_rejected_before_trials(tmp_path, capsys, 
         ("sweep", 10, "", "case B needs d >= 21"),
         ("selection", 25, "t_star=0", "t_star must lie in [1, 25]"),
         ("selection", 25, "t_star=26", "t_star must lie in [1, 25]"),
+        ("rate", 25, "", "rate study requires the rate-model means"),
+        ("selection", 25, "", "selection comparison needs t_star"),
+        ("sweep", 25, "n_grid=20,40", "T sweep uses a single sample size"),
     ],
 )
 def test_experiment_bad_case_config_is_rejected_before_trials(
     tmp_path, capsys, study, d, extra, message
 ):
+    # The last three pass the config's own checks and are rejected by the study.
+    keys = dict(study=study, case="caseB", base_seed=2, trials=2, n_grid=20, d=d, sigma=1.0,
+                tau=0.3, t_grid=f"1:{d}")
+    keys.update(item.split("=") for item in extra.split())
     cfg = tmp_path / f"{study}.cfg"
-    cfg.write_text(
-        f"study={study}\ncase=caseB\nbase_seed=2\ntrials=2\nn_grid=20\nd={d}\n"
-        f"sigma=1.0\ntau=0.3\nt_grid=1:{d}\n{extra}\n"
-    )
+    cfg.write_text("".join(f"{key}={value}\n" for key, value in keys.items()))
     out = tmp_path / "run"
     args = ["experiment", "--config", str(cfg), "--out", str(out), "--workers", "1"]
     assert main(args) == EXIT_VALIDATION
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_experiment_unwritable_out_is_io_error(tmp_path, capsys):
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text(RATE_CFG)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    args = ["experiment", "--config", str(cfg), "--out", str(blocker / "run")]
+    assert main(args) == EXIT_IO
+    assert "i/o error" in capsys.readouterr().err
 
 
 def test_experiment_bad_c_lepski_is_rejected_before_trials(tmp_path, capsys):
@@ -278,6 +292,18 @@ def test_readme_experiment_configs_build_as_written(tmp_path):
         study, _, _ = cli._build_experiment(parse_invocation(argv))
         studies.append(study)
     assert studies == ["rate", "selection"]
+
+
+def test_readme_python_blocks_run(capsys):
+    # Every python block in the README runs as written, so an API rename
+    # that leaves the README behind fails here.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [block[len("python"):] for block in readme.split("```")[1::2]
+              if block.startswith("python\n")]
+    assert len(blocks) == 2
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert "False" not in capsys.readouterr().out
 
 
 def test_experiment_config_trailing_comments_are_ignored(tmp_path):

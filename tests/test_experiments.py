@@ -150,9 +150,11 @@ def test_config_rejects_bad_subsampling():
     for frac in (0.0, 1.0, -0.5, 1.5):
         with pytest.raises(ValidationError, match="frac"):
             _rate_config(frac=frac)
+    # Only the selection study subsamples, so only it needs 4 rows per subsample.
     with pytest.raises(ValidationError, match="too small"):
-        _rate_config(n_grid=(20, 40), frac=0.15)  # 3 rows of 20
-    assert _rate_config(n_grid=(20, 40), frac=0.2).frac == 0.2  # 4 rows of 20
+        run_selection_comparison(_case_b_config(frac=0.15))  # 3 rows of 20
+    assert len(run_selection_comparison(_case_b_config(trials=1, frac=0.2)).n) == 3  # 4 rows
+    assert len(run_rate_study(_rate_config(trials=1, n_grid=(4, 20), tau=0.25)).n) == 2
 
 
 def test_rate_study_zero_noise():

@@ -4,11 +4,9 @@ import pytest
 from helpers import lepski_bruteforce, method2_loop, two_regime_scores
 
 from cpkmeans import (
-    LepskiConfig,
     MeanCase,
     ModelSpec,
     SignalMatrix,
-    SurrogateVector,
     ValidationError,
     estimate_adaptive,
     estimate_tau,
@@ -22,40 +20,38 @@ from cpkmeans import (
 
 
 def test_surrogate_constant_matrix_cancels():
-    z = surrogate(SignalMatrix(np.ones((4, 3))), 1.0)
-    assert np.array_equal(z.z, np.zeros(3))
-    assert z.nu_sq == pytest.approx(0.25)
+    z = surrogate(SignalMatrix(np.ones((4, 3))))
+    assert np.array_equal(z, np.zeros(3))
 
 
 def test_surrogate_noiseless_late_change():
     diff = np.array([1.0, 2.0, -1.0, 0.5])
     spec = ModelSpec(n=10, d=4, tau=0.6, theta_minus=np.zeros(4), theta_plus=diff, sigma=0.0)
-    z = surrogate(generate_sample(spec, 0), 1.0)
-    np.testing.assert_allclose(z.z, (1 - 0.6) * diff, rtol=1e-12, atol=1e-15)
+    z = surrogate(generate_sample(spec, 0))
+    np.testing.assert_allclose(z, (1 - 0.6) * diff, rtol=1e-12, atol=1e-15)
 
 
 def test_surrogate_noiseless_early_change():
     diff = np.array([2.0, -3.0])
     spec = ModelSpec(n=10, d=2, tau=0.3, theta_minus=np.zeros(2), theta_plus=diff, sigma=0.0)
-    z = surrogate(generate_sample(spec, 0), 1.0)
-    np.testing.assert_allclose(z.z, 0.3 * diff, rtol=1e-12, atol=1e-15)
+    z = surrogate(generate_sample(spec, 0))
+    np.testing.assert_allclose(z, 0.3 * diff, rtol=1e-12, atol=1e-15)
 
 
 def test_surrogate_odd_row_count_uses_floor_half():
     y = np.arange(15, dtype=float).reshape(5, 3)
-    z = surrogate(SignalMatrix(y), 2.0)
+    z = surrogate(SignalMatrix(y))
     expected = y.mean(axis=0) - (2.0 / 5.0) * y[:2].sum(axis=0)
-    np.testing.assert_allclose(z.z, expected, rtol=1e-15)
-    assert z.nu_sq == pytest.approx(4.0 / 5.0)
+    np.testing.assert_allclose(z, expected, rtol=1e-15)
 
 
 def test_surrogate_row_shift_invariance():
     rng = np.random.default_rng(20)
     y = rng.normal(size=(8, 5))
     shift = rng.normal(size=5)
-    a = surrogate(SignalMatrix(y), 1.0)
-    b = surrogate(SignalMatrix(y + shift), 1.0)
-    np.testing.assert_allclose(a.z, b.z, rtol=1e-9, atol=1e-12)
+    a = surrogate(SignalMatrix(y))
+    b = surrogate(SignalMatrix(y + shift))
+    np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
 
 
 def test_surrogate_noise_variance_mc():
@@ -63,29 +59,26 @@ def test_surrogate_noise_variance_mc():
     spec = ModelSpec(n=10, d=4, tau=0.3, theta_minus=np.zeros(4), theta_plus=np.ones(4), sigma=1.0)
     draws = np.empty((5_000, 4))
     for seed in range(5_000):
-        draws[seed] = surrogate(generate_sample(spec, seed), 1.0).z
+        draws[seed] = surrogate(generate_sample(spec, seed))
     variances = draws.var(axis=0, ddof=1)
     np.testing.assert_allclose(variances, 0.1, rtol=0.1)
 
 
 def test_lepski_zero_vector():
-    z = SurrogateVector(z=np.zeros(10), nu_sq=0.01)
-    assert lepski_select(z, LepskiConfig(), 100, 10) == 1
+    assert lepski_select(np.zeros(10), 100, 1.0) == 1
 
 
 def test_lepski_spike():
     zv = np.zeros(10)
     zv[4] = 100.0  # coordinate 5; every window containing it violates the threshold
-    z = SurrogateVector(z=zv, nu_sq=0.01)
-    assert lepski_select(z, LepskiConfig(c_lepski=16.0), 100, 10) == 6
+    assert lepski_select(zv, 100, 1.0, c_lepski=16.0) == 6
     assert lepski_bruteforce(zv, 0.01, 16.0, 100, 10) == 6
 
 
 def test_lepski_fallback_when_nothing_passes():
     zv = np.zeros(6)
     zv[-1] = 1e6
-    z = SurrogateVector(z=zv, nu_sq=0.01)
-    assert lepski_select(z, LepskiConfig(), 100, 6) == 6
+    assert lepski_select(zv, 100, 1.0) == 6
 
 
 def test_lepski_matches_bruteforce_random():
@@ -103,9 +96,7 @@ def test_lepski_matches_bruteforce_random():
             zv = rng.normal(0, 1.0 / np.sqrt(np.arange(1, d + 1)))
         c_l = float(rng.uniform(1.0, 32.0))
         nu_sq = sigma**2 / n
-        fast = lepski_select(
-            SurrogateVector(z=zv, nu_sq=nu_sq), LepskiConfig(c_lepski=c_l), n, d
-        )
+        fast = lepski_select(zv, n, sigma, c_l)
         assert fast == lepski_bruteforce(zv, nu_sq, c_l, n, d)
 
 
@@ -114,26 +105,22 @@ def test_lepski_nonincreasing_in_constant():
     for _ in range(10):
         d = int(rng.integers(4, 40))
         zv = rng.normal(0, 1.0 / np.sqrt(np.arange(1, d + 1)))
-        z = SurrogateVector(z=zv, nu_sq=0.01)
         picks = [
-            lepski_select(z, LepskiConfig(c_lepski=c), 100, d)
+            lepski_select(zv, 100, 1.0, c_lepski=c)
             for c in (0.5, 1, 2, 4, 8, 16, 32, 64)
         ]
         assert all(b <= a for a, b in zip(picks, picks[1:]))
 
 
 def test_lepski_validation():
-    z = SurrogateVector(z=np.zeros(5), nu_sq=0.01)
     with pytest.raises(ValidationError):
-        lepski_select(z, LepskiConfig(), 100, 7)  # length mismatch
-    with pytest.raises(ValidationError):
-        LepskiConfig(c_lepski=0.0)
+        lepski_select(np.zeros(5), 100, 1.0, c_lepski=0.0)
 
 
 def test_method1_examples():
-    assert method1_select(SurrogateVector(np.array([10.0, 10, 0, 0, 0, 0]), 0.1)) == 2
-    assert method1_select(SurrogateVector(np.ones(6), 0.1)) == 1  # ties to smallest T
-    assert method1_select(SurrogateVector(np.array([5.0, 0, 0, 0, 0]), 0.1)) == 1
+    assert method1_select(np.array([10.0, 10, 0, 0, 0, 0])) == 2
+    assert method1_select(np.ones(6)) == 1  # ties to smallest T
+    assert method1_select(np.array([5.0, 0, 0, 0, 0])) == 1
 
 
 def test_method1_matches_exhaustive_scores():
@@ -141,7 +128,7 @@ def test_method1_matches_exhaustive_scores():
     for _ in range(30):
         d = int(rng.integers(1, 25))
         zv = rng.normal(0, 1, d)
-        picked = method1_select(SurrogateVector(zv, 0.1))
+        picked = method1_select(zv)
         scores = two_regime_scores(zv)
         assert picked == int(np.argmin(scores)) + 1
         assert 1 <= picked <= d
@@ -156,19 +143,19 @@ def test_method1_closed_form_matches_two_regime_scores():
 
     for zv in ([3.0], [-1.0], [1.0, 2.0], [2.0, -1.0], [0.5, 0.5]):
         zv = np.array(zv)
-        assert method1_select(SurrogateVector(zv, 0.1)) == picked_by_oracle(zv)
+        assert method1_select(zv) == picked_by_oracle(zv)
     for value in (0.0, 0.5, -2.5, 1e6):
         for d in (1, 2, 7, 200):
             zv = np.full(d, value)
-            assert method1_select(SurrogateVector(zv, 0.1)) == picked_by_oracle(zv) == 1
+            assert method1_select(zv) == picked_by_oracle(zv) == 1
     rng = np.random.default_rng(27)
     for seed in range(500):
         theta_minus, theta_plus = sample_case_means(MeanCase.CASE_B, 200, rng)
         spec = ModelSpec(
             n=100, d=200, tau=0.3, theta_minus=theta_minus, theta_plus=theta_plus, sigma=1.0
         )
-        z = surrogate(generate_sample(spec, seed), 1.0)
-        assert method1_select(z) == picked_by_oracle(z.z)
+        z = surrogate(generate_sample(spec, seed))
+        assert method1_select(z) == picked_by_oracle(z)
 
 
 def test_method2_noiseless_ties_to_one():
@@ -233,9 +220,8 @@ def test_method2_validation():
 def test_adaptive_equals_manual_pipeline():
     rng = np.random.default_rng(24)
     y = SignalMatrix(rng.normal(size=(20, 8)))
-    config = LepskiConfig(c_lepski=4.0)
-    fit = estimate_adaptive(y, 1.0, config)
-    t_hat = lepski_select(surrogate(y, 1.0), config, y.n, y.d)
+    fit = estimate_adaptive(y, 1.0, c_lepski=4.0)
+    t_hat = lepski_select(surrogate(y), y.n, 1.0, c_lepski=4.0)
     manual = estimate_tau(y, t_hat)
     assert fit.k_hat == manual.k_hat
     assert fit.T_used == manual.T_used
@@ -244,11 +230,11 @@ def test_adaptive_equals_manual_pipeline():
 
 def test_adaptive_noiseless_recovery():
     spec = ModelSpec(n=10, d=3, tau=0.5, theta_minus=np.zeros(3), theta_plus=np.ones(3), sigma=0.0)
-    fit = estimate_adaptive(generate_sample(spec, 0), 0.0, LepskiConfig())
+    fit = estimate_adaptive(generate_sample(spec, 0), 0.0)
     assert fit.tau_hat == 0.5
 
 
 def test_adaptive_zero_surrogate_uses_t_one():
     y = SignalMatrix(np.tile(np.array([3.0, -1.0, 2.0]), (6, 1)))
-    fit = estimate_adaptive(y, 1.0, LepskiConfig())
+    fit = estimate_adaptive(y, 1.0)
     assert fit.T_used == 1

@@ -22,19 +22,88 @@ sums), so the partial kernels equal the table's row and its per-subset
 argmins bit for bit.  ``tests/test_kernels.py`` checks the table against
 the direct formula in ``tests/helpers.py`` and each partial kernel
 against the table; ``studybench/run.py --trace 1`` times all three in
-the studies.
+the studies.  ``row_argmins`` takes the argmins of chosen table rows,
+as a sweep needs.
+
+The table and the row take their temporaries from a per-thread
+workspace: the transposed columns, their squares (the table squares into
+its own output, which the running sum then overwrites) and the centring
+product; ``row_argmins`` makes its contiguous copy there too.  Each role
+has one flat float64 buffer, grown to the largest size seen and viewed
+at the shape a call needs, so the rows of one sample at several T share
+it.  The columns' buffer is the scratch one: the table's centring
+product, made once the columns are spent, and ``row_argmins`` use it too.
+
+The table itself, and ``model.generate_sample``'s draw, go into the
+memory the workspace last handed out for their role if no array on that
+memory is alive, and into new memory if one is: a result a caller holds
+is never written again, and each study trial reuses the last one's.
+
+A study calls the kernels thousands of times at a few shapes, and fresh
+arrays of 150-320 KB would go back to the OS after each call and be
+faulted in again on the next: some 100 page faults per sweep trial and
+350 per rate trial at n = 4000, which cost more than the arithmetic.
+The workspace keeps its buffers for the thread's lifetime, up to 8 MB
+each; a larger call allocates and frees its own arrays, so one large
+call does not pin its size.
 """
+
+import math
+import threading
+import weakref
 
 import numpy as np
 
 
-def _shift(columns: np.ndarray) -> np.ndarray:
+# Buffers of up to this many float64 values (8 MB) are kept between calls.
+_KEEP = 1 << 20
+
+
+class _Workspace(threading.local):
+    """Memory of one thread, kept between calls, one flat float64 buffer per role.
+
+    ``take`` gives scratch whose contents never outlive a call; ``fresh``
+    gives memory for an array the caller will own.
+    """
+
+    def __init__(self):
+        self.buffers = {}
+        self.handed = {}
+
+    def take(self, role: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        if size > _KEEP:
+            return np.empty(shape)
+        buffer = self.buffers.get(role)
+        if buffer is None or buffer.size < size:
+            buffer = self.buffers[role] = np.empty(size)
+        return buffer[:size].reshape(shape)
+
+    def fresh(self, role: str, shape: tuple[int, ...]) -> np.ndarray:
+        """The memory this role handed out last if no array on it is alive, else new memory."""
+        size = math.prod(shape)
+        if size > _KEEP:
+            return np.empty(shape)
+        memory, flat = self.handed.get(role, (None, None))
+        # Every view of ``flat`` has it as its base, so it lives while any of them does.
+        if memory is None or len(memory) < size or flat() is not None:
+            memory = memoryview(np.empty(size))
+        array = np.frombuffer(memory)
+        self.handed[role] = memory, weakref.ref(array)
+        return array[:size].reshape(shape)
+
+
+_workspace = _Workspace()
+
+
+def _shift(columns: np.ndarray, squares: np.ndarray) -> np.ndarray:
     """Subtract each row's first value from a C-ordered (..., n) array, in place.
 
-    Returns each row's sum of squares after the shift.
+    Returns each row's sum of squares after the shift; ``squares``, a
+    C-ordered array of the columns' shape, holds the squares themselves.
     """
     columns -= columns[..., :1].copy()
-    return np.add.reduce(columns * columns, axis=-1)
+    return np.add.reduce(np.multiply(columns, columns, out=squares), axis=-1)
 
 
 def _weights(n: int) -> np.ndarray:
@@ -60,14 +129,17 @@ def objective_table(values: np.ndarray) -> np.ndarray:
     """
     n, d = values.shape
     ks = np.arange(2, n - 1)
-    columns = np.array(values.T, order="C")
-    squares = _shift(columns)
-    prefix = np.empty((n, d))
+    columns = _workspace.take("scratch", (d, n))
+    np.copyto(columns, values.T)
+    prefix = _workspace.fresh("table", (n, d))
+    # The squares go to the output's memory, which the cumsum then overwrites.
+    squares = _shift(columns, prefix.reshape(d, n))
     np.cumsum(columns.T, axis=0, out=prefix)
     total = prefix[-1]
     tss = np.cumsum(squares - total * total / n)
     out = prefix[1 : n - 2]
-    out -= (ks / n)[:, None] * total
+    # The columns are spent, so the centring product takes their buffer.
+    out -= np.multiply((ks / n)[:, None], total, out=_workspace.take("scratch", out.shape))
     out *= out
     np.cumsum(out, axis=1, out=out)
     out *= _weights(n)[:, None]
@@ -94,18 +166,32 @@ def objective_row(values: np.ndarray, T: int) -> np.ndarray:
     """
     n = values.shape[0]
     ks = np.arange(2, n - 1)
-    columns = np.array(values[:, :T].T, order="C")
-    squares = _shift(columns)
+    columns = _workspace.take("scratch", (T, n))
+    np.copyto(columns, values[:, :T].T)
+    squares = _shift(columns, _workspace.take("squares", (T, n)))
     np.cumsum(columns, axis=1, out=columns)
     total = columns[:, -1:]
     tss = np.cumsum(squares - total[:, 0] * total[:, 0] / n)[-1]
     cusum = columns[:, 1 : n - 2]
-    cusum -= total * (ks / n)
+    cusum -= np.multiply(total, ks / n, out=_workspace.take("product", cusum.shape))
     cusum *= cusum
     energy = cusum[0].copy()
     for t in range(1, T):
         energy += cusum[t]
     return tss - energy * _weights(n)
+
+
+def row_argmins(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """First argmin of each listed row: ``table[rows].argmin(axis=1)``.
+
+    ``argmin``, fancy indexing and ``np.take`` each copy a table whose
+    rows are not contiguous, as the transposed output of
+    ``objective_table`` is; the table is copied into the workspace
+    instead, and every row's argmin taken there.
+    """
+    contiguous = _workspace.take("scratch", table.shape)
+    np.copyto(contiguous, table)
+    return contiguous.argmin(axis=1)[rows]
 
 
 def subsample_argmins(values: np.ndarray, rows: np.ndarray) -> np.ndarray:

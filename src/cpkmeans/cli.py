@@ -19,7 +19,6 @@ import argparse
 import csv
 import os
 import sys
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +37,9 @@ from .experiments import (
     sample_case_means,
 )
 from .model import ModelSpec, SignalMatrix, generate_sample
-from .smoothing import C_LEPSKI, lepski_select, method1_select, method2_select, surrogate
+from .smoothing import (
+    C_LEPSKI, check_sigma, lepski_select, method1_select, method2_select, surrogate,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -202,34 +203,44 @@ _SUMMARY_HEADER = [
 _RECORD_CHUNK = 4096
 
 
-class _Formatted(dict):
-    """Float -> ``_fmt`` text, formatted on first lookup."""
+class _Texts(dict):
+    """Value -> its text, made by ``make`` on first lookup."""
 
-    def __missing__(self, x):
-        text = self[x] = _fmt(x)
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, value):
+        text = self[value] = self.make(value)
         return text
 
 
 def _write_records(path, tau: float, result: StudyResult):
-    # A sweep writes some 160,000 float cells but only about 150
-    # distinct values (tau_hat is k / n), so each distinct value is formatted
-    # once per call.  Keying on the float is exact: the only equal floats
-    # that repr tells apart are 0.0 and -0.0, and neither float column is
-    # ever -0.0 (abs_error is an abs, tau_hat lies in (0, 1)).
-    # Rows go out in chunks, so only one chunk of each column is ever held as
-    # Python objects.
-    text = _Formatted().__getitem__
+    # A sweep writes some 80,000 rows but only a few hundred distinct values
+    # per column, so each distinct value is formatted once per call: an int
+    # by str, a tau_hat together with its abs_error, which is |tau_hat - tau|
+    # by the same IEEE operations as the study's.  Keying on the float is
+    # exact: the only equal floats that repr tells apart are 0.0 and -0.0,
+    # and tau_hat lies in (0, 1).  Each row is one f-string, and rows go out
+    # in chunks, so only one chunk's lines are held at once.  csv.writer
+    # would add nothing but its "\r\n": no field needs quoting (every
+    # selector heads a summary group).
+    assert not any(set(',"\r\n').intersection(tag) for _, _, tag in result.summary)
+    ints = _Texts(str).__getitem__
+    pair = _Texts(lambda x: f"{_fmt(x)},{_fmt(abs(x - tau))}").__getitem__
+    tau_text = _fmt(tau)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_RECORD_HEADER)
+        fh.write(",".join(_RECORD_HEADER) + "\r\n")
         for start in range(0, len(result.n), _RECORD_CHUNK):
             rows = slice(start, start + _RECORD_CHUNK)
-            writer.writerows(zip(
-                result.trial_index[rows].tolist(), result.n[rows].tolist(),
-                result.T[rows].tolist(), repeat(_fmt(tau)),
-                map(text, result.tau_hat[rows].tolist()),
-                map(text, result.abs_error[rows].tolist()), result.selector[rows].tolist(),
-            ))
+            fh.write("".join([
+                f"{i},{n},{t},{tau_text},{pair(x)},{tag}\r\n"
+                for i, n, t, x, tag in zip(
+                    map(ints, result.trial_index[rows].tolist()),
+                    map(ints, result.n[rows].tolist()), map(ints, result.T[rows].tolist()),
+                    result.tau_hat[rows].tolist(), result.selector[rows].tolist(),
+                )
+            ]))
 
 
 def _summary_row(stats):
@@ -272,6 +283,8 @@ def _run_estimate(args) -> int:
 def _run_select_t(args) -> int:
     if args.method == "lepski" and args.sigma is None:
         raise ValidationError("--sigma is required for --method lepski")
+    if args.sigma is not None:
+        check_sigma(args.sigma)
     sample = SignalMatrix(read_matrix_csv(args.input))
     if args.method == "lepski":
         t_hat = lepski_select(surrogate(sample), sample.n, args.sigma, args.c_lepski)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import objective_row, objective_table
+from ._kernels import objective_row, objective_table, row_argmins
 from .errors import ValidationError
 from .model import SignalMatrix
 
@@ -92,4 +92,4 @@ def sweep_estimate(Y: SignalMatrix, T_list) -> tuple[np.ndarray, np.ndarray]:
     _check_t(Y, int(ts.max()))
     table = objective_table(np.ascontiguousarray(Y.values))
     table.flags.writeable = False
-    return table[ts - 1].argmin(axis=1) + 2, table
+    return row_argmins(table, ts - 1) + 2, table

@@ -25,10 +25,10 @@ from .errors import ValidationError
 from .estimator import estimate_tau, sweep_estimate
 from .model import ModelSpec, generate_sample
 from .smoothing import (
-    C_LEPSKI, check_c_lepski, check_subsampling, method1_select, method2_select, subsample_size,
-    surrogate,
+    C_LEPSKI, check_c_lepski, check_sigma, check_subsampling, method1_select, method2_select,
+    subsample_size, surrogate,
 )
-from .stats import SummaryStats, fit_line, summarize
+from .stats import SummaryStats, fit_line, summarize_columns
 
 __all__ = [
     "MeanCase",
@@ -93,8 +93,7 @@ class ExperimentConfig:
         if not 0.0 < self.tau < 1.0:
             raise ValidationError(f"tau must lie in (0, 1), got {self.tau}")
         _check_case_d(self.case, self.d)
-        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise ValidationError(f"sigma must be finite and >= 0, got {self.sigma}")
+        check_sigma(self.sigma)
         check_c_lepski(self.c_lepski)
         check_subsampling(self.n_sub, self.frac)
         if not self.n_grid:
@@ -241,27 +240,31 @@ _PICKS_T = frozenset({"method1", "method2"})
 def _run_study(trial_fn, config: ExperimentConfig, workers: int) -> StudyResult:
     payloads = [(config, n, trial) for n in config.n_grid for trial in range(config.trials)]
     batches = _run_trials(trial_fn, payloads, workers)
-    T, tau_hat, selectors = zip(*batches)
-    T, tau_hat, selector = np.array(T), np.array(tau_hat), selectors[0]
+    T_rows, tau_hat, selectors = zip(*batches)
+    tau_hat, selector = np.array(tau_hat), selectors[0]
     # Every trial returns the same (T, selector) rows in the same order, T aside
     # where the selector picks it: the records form a (trial, row) grid, and each
     # summary group is one row's column of one n's block, in (n, row) order.
     keyed = ~np.isin(selector, list(_PICKS_T))
-    if selectors.count(selector) < len(selectors) or (T[:, keyed] != T[0, keyed]).any():
+    if keyed.all():
+        same_rows = all(t == T_rows[0] for t in T_rows)
+        T = np.tile(T_rows[0], (len(batches), 1))
+    else:
+        T = np.array(T_rows)
+        same_rows = (T[:, keyed] == T[0, keyed]).all()
+    if selectors.count(selector) < len(selectors) or not same_rows:
         raise RuntimeError("trials returned different (T, selector) rows")
     rows = list(zip(np.where(keyed, T[0], None).tolist(), selector))
     abs_error = np.abs(tau_hat - config.tau)
     blocks = abs_error.reshape(len(config.n_grid), config.trials, len(rows))
+    summary = {}
+    for n, block in zip(config.n_grid, blocks):
+        summary.update(zip([(n, t, tag) for t, tag in rows], summarize_columns(block)))
     return StudyResult(
         trial_index=np.tile(np.repeat(np.arange(config.trials), len(rows)), len(config.n_grid)),
         n=np.repeat(config.n_grid, config.trials * len(rows)),
         T=T.ravel(), tau_hat=tau_hat.ravel(), abs_error=abs_error.ravel(),
-        selector=np.tile(selector, len(batches)),
-        summary={
-            (n, t, tag): summarize(block[:, j])
-            for n, block in zip(config.n_grid, blocks)
-            for j, (t, tag) in enumerate(rows)
-        },
+        selector=np.tile(selector, len(batches)), summary=summary,
     )
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import _workspace
 from .errors import ValidationError
 
 __all__ = [
@@ -76,24 +77,43 @@ class ModelSpec:
         return min(max(int(round(self.n * self.tau)), 1), self.n - 1)
 
 
+def _checked_matrix(arr: np.ndarray) -> np.ndarray:
+    """A float64 array made read-only after the checks every signal matrix passes."""
+    if arr.ndim != 2:
+        raise ValidationError(f"values must be 2-dimensional, got ndim={arr.ndim}")
+    if arr.shape[0] < 4:
+        raise ValidationError(f"need at least 4 rows, got {arr.shape[0]}")
+    if arr.shape[1] < 1:
+        raise ValidationError("need at least 1 coordinate per row")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("all entries must be finite")
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class SignalMatrix:
-    """Immutable n x d observation matrix, one signal per row."""
+    """Immutable n x d observation matrix, one signal per row.
+
+    ``SignalMatrix(values)`` copies ``values``, so the caller's array can
+    never change the matrix.
+    """
 
     values: np.ndarray
 
     def __post_init__(self):
         arr = np.array(self.values, dtype=np.float64, copy=True)
-        if arr.ndim != 2:
-            raise ValidationError(f"values must be 2-dimensional, got ndim={arr.ndim}")
-        if arr.shape[0] < 4:
-            raise ValidationError(f"need at least 4 rows, got {arr.shape[0]}")
-        if arr.shape[1] < 1:
-            raise ValidationError("need at least 1 coordinate per row")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("all entries must be finite")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _checked_matrix(arr))
+
+    @classmethod
+    def _adopt(cls, values: np.ndarray) -> SignalMatrix:
+        """Wrap a float64 array that no one else holds, without copying it.
+
+        The array passes the same checks and becomes read-only.
+        """
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "values", _checked_matrix(values))
+        return matrix
 
     @property
     def n(self) -> int:
@@ -124,12 +144,14 @@ class SobolevClass:
 def generate_sample(spec: ModelSpec, seed: int) -> SignalMatrix:
     """Draw one sample from the spec; identical (spec, seed) pairs give identical output."""
     # In place, so the draw is the only (n, d) array; IEEE addition commutes,
-    # so sigma * z + mean equals mean + sigma * z bit for bit.
-    values = np.random.default_rng(seed).standard_normal((spec.n, spec.d))
+    # so sigma * z + mean equals mean + sigma * z bit for bit.  The draw goes
+    # into the last sample's memory once no array on it is alive.
+    values = _workspace.fresh("sample", (spec.n, spec.d))
+    np.random.default_rng(seed).standard_normal(out=values)
     values *= spec.sigma
     values[: spec.change_index] += spec.theta_minus
     values[spec.change_index :] += spec.theta_plus
-    return SignalMatrix(values)
+    return SignalMatrix._adopt(values)
 
 
 def gap_squared(spec: ModelSpec, T: int) -> float:

@@ -1,9 +1,11 @@
 """Truncation-level selection.
 
-A single surrogate vector built from all signals (full column mean minus
-twice the first-half mean) carries the between-segment mean difference
-with per-coordinate noise variance sigma^2 / n.  Three selectors pick
-the truncation level T from it or from the sample directly:
+A single surrogate vector built from all signals (the full column mean
+minus (2/n) times the sum of the first floor(n/2) rows, which is the
+first-half mean when n is even) carries the between-segment mean
+difference with per-coordinate noise variance sigma^2 / n.  Three
+selectors pick the truncation level T from it or from the sample
+directly:
 
 * ``lepski_select`` - smallest k beyond which every windowed energy of
   the surrogate stays under a log-scaled noise threshold;
@@ -46,6 +48,11 @@ def check_c_lepski(c_lepski: float):
         raise ValidationError(f"c_lepski must be > 0, got {c_lepski}")
 
 
+def check_sigma(sigma: float):
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ValidationError(f"sigma must be finite and >= 0, got {sigma}")
+
+
 def surrogate(Y: SignalMatrix) -> np.ndarray:
     """Full column mean minus (2/n) times the sum of the first floor(n/2) rows,
     read-only; each coordinate's noise variance is sigma^2 / n."""
@@ -69,6 +76,8 @@ def lepski_select(z: np.ndarray, n: int, sigma: float, c_lepski: float = C_LEPSK
     check_c_lepski(c_lepski)
     zv = np.asarray(z, dtype=np.float64)
     d = zv.size
+    if d < 1:
+        raise ValidationError("surrogate vector must be non-empty")
     thr = c_lepski * np.arange(1, d + 1) * (sigma * sigma / n) * math.log(max(d, n))
     csum = np.concatenate([[0.0], np.cumsum(zv * zv)])
     excess = csum[1:] - thr

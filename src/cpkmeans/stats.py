@@ -16,6 +16,7 @@ __all__ = [
     "chi_square_moderate_bound",
     "fit_line",
     "summarize",
+    "summarize_columns",
 ]
 
 
@@ -86,3 +87,24 @@ def summarize(values) -> SummaryStats:
         std_dev=math.sqrt(variance),
         count=int(arr.size),
     )
+
+
+def summarize_columns(grid) -> list[SummaryStats]:
+    """``summarize`` of each column of a 2-D array, equal to it bit for bit.
+
+    The columns are copied into the rows of one C-ordered block, so each
+    statistic is one numpy call along its rows, which sums and partitions
+    each row as ``summarize`` does its contiguous copy of the column.
+    """
+    rows = np.array(np.asarray(grid, dtype=np.float64).T, order="C")
+    count = rows.shape[1]
+    if count < 2:
+        return [summarize(row) for row in rows]
+    variances = rows.var(axis=1, ddof=1).tolist()
+    return [
+        SummaryStats(mean=mean, median=median, variance=variance,
+                     std_dev=math.sqrt(variance), count=count)
+        for mean, median, variance in zip(
+            rows.mean(axis=1).tolist(), np.median(rows, axis=1).tolist(), variances
+        )
+    ]

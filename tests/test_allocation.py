@@ -1,0 +1,122 @@
+"""Allocation guard: warmed study trials must not keep faulting in fresh pages.
+
+A trial whose temporaries the allocator hands back to the OS, and maps
+again on the next trial, pays a page fault per 4 KB it touches: some 100
+per sweep trial and 360 per rate trial at n = 4000 when every kernel call
+made its own temporaries, which cost more than the arithmetic they serve.
+Two tests count the minor faults (``getrusage(RUSAGE_SELF).ru_minflt``)
+of one warmed study in a fresh interpreter.  A fresh one, because whether
+freed memory goes back to the OS depends on what the process allocated
+and freed before; the pytest process's history can hide the churn.
+
+A warm sweep trial allocates no large array: its sample and its table go
+into the memory of the last trial's.  What remains is the study's result
+grid, about 2,200 faults for 400 trials.  While each trial freed a fresh
+sample and table, the count followed the heap's layout: 2,640 to 27,450
+over start-ups that differed only in the size of the environment.  So a
+last test also bounds what one warm trial allocates, as tracemalloc sees
+it, which no layout changes.
+"""
+
+import mmap
+import os
+import resource
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import pytest
+
+from cpkmeans import experiments
+from cpkmeans.experiments import ExperimentConfig
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _faults_are_counted() -> bool:
+    # One byte written to each page of a fresh 8 MB mapping: 2,048 faults
+    # wherever ru_minflt is reported.
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with mmap.mmap(-1, 8 << 20) as fresh:
+        fresh[:: mmap.PAGESIZE] = b"x" * ((8 << 20) // mmap.PAGESIZE)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before > 100
+
+
+needs_fault_counts = pytest.mark.skipif(
+    not sys.platform.startswith("linux") or not _faults_are_counted(),
+    reason="needs minor-fault counts from getrusage (Linux)",
+)
+
+_MEASURE = """
+import resource
+from cpkmeans.experiments import ExperimentConfig, run_rate_study, run_t_sweep_study
+
+def config(trials, **kw):
+    return ExperimentConfig(base_seed=1, trials=trials, sigma=1.0, tau=0.3, **kw)
+
+{warm}
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+{run}
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _warm_faults(warm: str, run: str) -> int:
+    """Minor faults of `run`, after `warm`, in a fresh interpreter."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = _MEASURE.format(warm=warm, run=run)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
+@needs_fault_counts
+def test_warm_sweep_study_faults():
+    # The sweep workload's shape: 400 trials of 100 x 200, a table and 200 fits each.
+    sweep = "config({}, n_grid=(100,), d=200, case='caseB', t_grid=range(1, 201))"
+    faults = _warm_faults(
+        f"run_t_sweep_study({sweep.format(20)})", f"run_t_sweep_study({sweep.format(400)})"
+    )
+    assert faults < 5_000, f"{faults} minor faults for 400 warm sweep trials"
+
+
+@needs_fault_counts
+def test_warm_rate_trials_faults():
+    # The rate workload's largest sample: 100 fixed-T fits at n = 4000, d = 20.
+    rate = "run_rate_study(config(100, n_grid=(4000,), d=20, case='rate', t_grid=(10,)))"
+    faults = _warm_faults(rate, rate)
+    assert faults < 1_000, f"{faults} minor faults for 100 warm rate trials at n = 4000"
+
+
+def _config(trials, **kw):
+    return ExperimentConfig(base_seed=1, trials=trials, sigma=1.0, tau=0.3, **kw)
+
+
+@pytest.mark.parametrize("trial, config, bound", [
+    # One fresh 160 KB sample or table would take a sweep trial past 299 KB.
+    (experiments._sweep_trial,
+     _config(3, n_grid=(100,), d=200, case="caseB", t_grid=range(1, 201)), 250_000),
+    # One fresh 640 KB sample would take a rate trial past 640 KB.
+    (experiments._rate_trial, _config(3, n_grid=(4000,), d=20, case="rate", t_grid=(10,)), 400_000),
+], ids=["sweep", "rate"])
+def test_warm_trials_allocate_no_sample_or_table(trial, config, bound):
+    # The fault counts' companion that does not depend on the heap's layout:
+    # the peak of what one warm trial allocates, as tracemalloc sees it
+    # (139 KB and 195 KB; numpy's ufunc buffers are most of it).
+    n = config.n_grid[0]
+    for i in range(2):
+        trial((config, n, i))
+    tracemalloc.start()
+    try:
+        for i in range(2, 5):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            trial((config, n, i))
+            peak = tracemalloc.get_traced_memory()[1] - before
+            assert peak < bound, f"trial {i} allocated up to {peak} bytes"
+    finally:
+        tracemalloc.stop()

@@ -123,6 +123,18 @@ def test_select_t_lepski_requires_sigma(tmp_path, capsys):
     assert "--sigma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf", "-0.05"])
+@pytest.mark.parametrize("method", ["lepski", "method1"])
+def test_select_t_bad_sigma_is_rejected(tmp_path, capsys, sigma, method):
+    path = tmp_path / "y.csv"
+    write_matrix_csv(path, np.zeros((6, 4)))
+    args = ["select-t", "--input", str(path), f"--sigma={sigma}", "--method", method]
+    assert main(args) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "sigma must be finite and >= 0" in captured.err
+
+
 def test_select_t_method1_ignores_sigma(tmp_path, capsys):
     # Method 1 reads only the surrogate's z, which sigma does not change.
     rng = np.random.default_rng(73)

@@ -1,7 +1,11 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from cpkmeans._kernels import objective_row, objective_table, subsample_argmins
+from cpkmeans import _kernels
+from cpkmeans._kernels import objective_row, objective_table, row_argmins, subsample_argmins
 from helpers import objective_table_reference
 
 
@@ -147,3 +151,120 @@ def test_objective_row_large_offset(offset):
     values = rng.normal(size=(200, 50)) + offset
     for T in (1, 10, 37, 50):
         assert np.array_equal(objective_row(values, T), _truncated_table_row(values, T))
+
+
+def test_row_argmins_match_fancy_indexed_argmin():
+    rng = np.random.default_rng(57)
+    # Mirrored 0/1 rows give table rows with bit-equal minima past k = 2.
+    half = rng.integers(0, 2, size=(10, 12)).astype(np.float64)
+    for values in (rng.normal(size=(100, 200)), np.vstack([half, half[::-1]])):
+        table = objective_table(values)
+        for rows in (np.arange(table.shape[0]), np.array([4, 0, 4, 2]), np.array([1])):
+            assert np.array_equal(row_argmins(table, rows), table[rows].argmin(axis=1))
+
+
+def _workspace_buffers():
+    return list(_kernels._workspace.buffers.values())
+
+
+def test_results_never_share_memory_with_the_workspace():
+    rng = np.random.default_rng(58)
+    a, b = rng.normal(size=(60, 30)), rng.normal(size=(60, 30))
+    table_a, row_a = objective_table(a), objective_row(a, 7)
+    table_a_copy, row_a_copy = table_a.copy(), row_a.copy()
+    argmins_a = row_argmins(table_a, np.arange(30))
+    assert _workspace_buffers()
+    for buffer in _workspace_buffers():
+        for result in (table_a, row_a, argmins_a):
+            assert not np.shares_memory(result, buffer)
+    # A second call on other data, through the same buffers, leaves the first results alone.
+    objective_table(b), objective_row(b, 7), objective_row(b, 30)
+    row_argmins(objective_table(b), np.arange(30))
+    assert np.array_equal(table_a, table_a_copy)
+    assert np.array_equal(row_a, row_a_copy)
+
+
+def test_workspace_buffers_are_reused_across_shapes():
+    # The rows of one sample at several T, and smaller tables after larger
+    # ones, fit the buffers the largest call made.
+    rng = np.random.default_rng(59)
+    values = rng.normal(size=(80, 40))
+    objective_table(values)
+    objective_row(values, 40)
+    before = {role: buffer.ctypes.data for role, buffer in _kernels._workspace.buffers.items()}
+    for T in (1, 13, 40):
+        objective_row(values, T)
+    objective_table(values[:50, :20])
+    after = {role: buffer.ctypes.data for role, buffer in _kernels._workspace.buffers.items()}
+    assert after == before
+
+
+def _table_and_rows(values):
+    d = values.shape[1]
+    return [objective_table(values)] + [objective_row(values, T) for T in (1, d // 2, d)]
+
+
+def test_threads_get_the_serial_results_bit_for_bit():
+    rng = np.random.default_rng(60)
+    inputs = [rng.normal(size=(n, d)) for n, d in ((100, 200), (37, 12), (500, 20), (80, 200))]
+    expected = [_table_and_rows(values) for values in inputs]
+    failures = []
+    orders = [[0, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2], [2, 0, 3, 1]]  # more threads than cores
+    barrier = threading.Barrier(len(orders), timeout=30)
+
+    def work(order):
+        barrier.wait()
+        for _ in range(20):
+            for i in order:
+                got = _table_and_rows(inputs[i])
+                if not all(np.array_equal(a, b) for a, b in zip(got, expected[i])):
+                    failures.append(i)
+
+    threads = [threading.Thread(target=work, args=(order,)) for order in orders]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+
+
+def test_table_memory_is_reused_only_once_no_view_of_it_is_alive():
+    rng = np.random.default_rng(61)
+    a, b = rng.normal(size=(60, 30)), rng.normal(size=(60, 30))
+    expected_a, expected_b = objective_table(a).copy(), objective_table(b).copy()
+    row = objective_table(a)[4]  # a view outliving its table
+    table_b = objective_table(b)
+    assert not np.shares_memory(row, table_b)
+    assert np.array_equal(row, expected_a[4])
+    memory = _kernels._workspace.handed["table"][0]
+    del row, table_b
+    table_a = objective_table(a)
+    assert _kernels._workspace.handed["table"][0] is memory
+    assert np.array_equal(table_a, expected_a)
+    assert np.array_equal(objective_table(b), expected_b)
+    assert np.array_equal(table_a, expected_a)
+
+
+def test_large_calls_keep_no_buffer(monkeypatch):
+    # In a new thread, whose workspace starts empty.
+    monkeypatch.setattr(_kernels, "_KEEP", 100)
+    values = np.random.default_rng(62).normal(size=(60, 30))
+    got = []
+
+    def work():
+        got.append((objective_table(values), objective_row(values, 30)))
+        got.append((_kernels._workspace.buffers, _kernels._workspace.handed))
+
+    thread = threading.Thread(target=work)
+    thread.start()
+    thread.join(timeout=30)
+    (table, row), (buffers, handed) = got
+    assert np.array_equal(table, objective_table_reference(values))
+    assert np.array_equal(row, table[-1])
+    assert buffers == {} and handed == {}

@@ -91,6 +91,28 @@ def test_spec_validation(kwargs):
         ModelSpec(**kwargs)
 
 
+def test_signal_matrix_copies_the_callers_array():
+    values = np.arange(12.0).reshape(4, 3)
+    matrix = SignalMatrix(values)
+    assert not np.shares_memory(matrix.values, values)
+    values[0, 0] = 99.0
+    assert matrix.values[0, 0] == 0.0
+    assert not matrix.values.flags.writeable
+    assert values.flags.writeable
+
+
+def test_generated_sample_is_read_only_and_checked():
+    spec = ModelSpec(n=6, d=3, tau=0.5, theta_minus=[0, 0, 0], theta_plus=[1, 1, 1], sigma=1.0)
+    sample = generate_sample(spec, 4)
+    assert not sample.values.flags.writeable
+    with pytest.raises(ValueError):
+        sample.values[0, 0] = 1.0
+    # The adopted array passes the same checks as a copied one.
+    for bad in (np.zeros((3, 2)), np.zeros((4, 0)), np.zeros(8), np.array([[np.inf, 0.0]] * 4)):
+        with pytest.raises(ValidationError):
+            SignalMatrix._adopt(bad)
+
+
 def test_signal_matrix_validation():
     with pytest.raises(ValidationError):
         SignalMatrix(np.zeros((3, 2)))  # too few rows
@@ -175,3 +197,14 @@ def test_sobolev_class_membership():
         SobolevClass(s=0.0, L=1.0)
     with pytest.raises(ValidationError):
         SobolevClass(s=1.0, L=0.0)
+
+
+def test_a_new_sample_never_overwrites_a_live_one():
+    spec = ModelSpec(n=6, d=3, tau=0.5, theta_minus=[0, 0, 0], theta_plus=[1, 1, 1], sigma=1.0)
+    first = generate_sample(spec, 4)
+    kept = first.values.copy()
+    second = generate_sample(spec, 5)
+    assert not np.shares_memory(first.values, second.values)
+    assert np.array_equal(first.values, kept)
+    del first, second
+    assert np.array_equal(generate_sample(spec, 4).values, kept)

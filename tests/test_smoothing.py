@@ -45,6 +45,12 @@ def test_surrogate_odd_row_count_uses_floor_half():
     np.testing.assert_allclose(z, expected, rtol=1e-15)
 
 
+def test_surrogate_subtracts_the_first_half_mean_once():
+    # Rows 0..7 of one column: full mean 3.5, (2/8) * (0 + 1 + 2 + 3) = 1.5.
+    z = surrogate(SignalMatrix(np.arange(8.0).reshape(8, 1)))
+    assert z.tolist() == [2.0]
+
+
 def test_surrogate_row_shift_invariance():
     rng = np.random.default_rng(20)
     y = rng.normal(size=(8, 5))
@@ -115,6 +121,12 @@ def test_lepski_nonincreasing_in_constant():
 def test_lepski_validation():
     with pytest.raises(ValidationError):
         lepski_select(np.zeros(5), 100, 1.0, c_lepski=0.0)
+
+
+def test_lepski_rejects_empty_surrogate():
+    # No fit accepts T = 0, the pick an empty z would give.
+    with pytest.raises(ValidationError, match="non-empty"):
+        lepski_select(np.zeros(0), 10, 1.0)
 
 
 def test_method1_examples():

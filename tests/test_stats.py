@@ -11,6 +11,7 @@ from cpkmeans import (
     gaussian_tail_bound,
     summarize,
 )
+from cpkmeans.stats import summarize_columns
 
 
 def test_gaussian_tail_bound_values():
@@ -142,3 +143,23 @@ def test_summarize_mc_sanity():
 def test_summarize_empty_errors():
     with pytest.raises(ValidationError):
         summarize([])
+
+
+@pytest.mark.parametrize(
+    "shape", [(400, 200), (500, 200), (3, 25), (300, 3), (250, 1), (7, 5), (1, 4), (2, 3)]
+)
+def test_summarize_columns_equals_summarize_bit_for_bit(shape):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    grids = [
+        rng.normal(size=shape),
+        np.abs(rng.integers(2, 98, size=shape) / 100 - 0.3),  # a study's tied abs errors
+    ]
+    with_nan = rng.normal(size=shape)
+    with_nan[0, 0] = np.nan
+    grids.append(with_nan)
+    for grid in grids:
+        got = summarize_columns(grid)
+        assert len(got) == shape[1]
+        for j, stats in enumerate(got):
+            expected = summarize(grid[:, j])
+            assert repr(stats) == repr(expected)

@@ -200,7 +200,8 @@ _SUMMARY_HEADER = [
 ]
 
 
-_RECORD_CHUNK = 4096
+# Records per write: one write's lines are all the writer holds at once.
+_RECORD_CHUNK = 512
 
 
 class _Texts(dict):
@@ -216,31 +217,35 @@ class _Texts(dict):
 
 
 def _write_records(path, tau: float, result: StudyResult):
-    # A sweep writes some 80,000 rows but only a few hundred distinct values
-    # per column, so each distinct value is formatted once per call: an int
-    # by str, a tau_hat together with its abs_error, which is |tau_hat - tau|
-    # by the same IEEE operations as the study's.  Keying on the float is
-    # exact: the only equal floats that repr tells apart are 0.0 and -0.0,
-    # and tau_hat lies in (0, 1).  Each row is one f-string, and rows go out
-    # in chunks, so only one chunk's lines are held at once.  csv.writer
-    # would add nothing but its "\r\n": no field needs quoting (every
-    # selector heads a summary group).
+    # A record is one cell of the result's (trial, row) grid: its trial and n
+    # come from the grid's row, its selector from the column, its T from the
+    # column or, where the selector picks T, from the trial's row of T_grid.
+    # So each trial's "trial,n," and each column's "T,tau_true," and
+    # ",selector" are formatted once, and each distinct tau_hat once per call
+    # together with its abs_error, which is |tau_hat - tau| by the same IEEE
+    # operations as the study's.  Keying on the float is exact: the only
+    # equal floats that repr tells apart are 0.0 and -0.0, and tau_hat lies
+    # in (0, 1).  Each record is one f-string, and blocks of trials go out as
+    # one string each.  csv.writer would add nothing but its "\r\n": no field
+    # needs quoting (every selector heads a summary group).
     assert not any(set(',"\r\n').intersection(tag) for _, _, tag in result.summary)
-    ints = _Texts(str).__getitem__
     pair = _Texts(lambda x: f"{_fmt(x)},{_fmt(abs(x - tau))}").__getitem__
     tau_text = _fmt(tau)
+    tails = [f",{tag}\r\n" for _, tag in result.rows]
+    mids = [[f"{t},{tau_text}," for t in T] for T in result.T_grid.tolist()]
+    trials = result.trials
+    block = max(1, _RECORD_CHUNK // len(tails))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_RECORD_HEADER) + "\r\n")
-        for start in range(0, len(result.n), _RECORD_CHUNK):
-            rows = slice(start, start + _RECORD_CHUNK)
-            fh.write("".join([
-                f"{i},{n},{t},{tau_text},{pair(x)},{tag}\r\n"
-                for i, n, t, x, tag in zip(
-                    map(ints, result.trial_index[rows].tolist()),
-                    map(ints, result.n[rows].tolist()), map(ints, result.T[rows].tolist()),
-                    result.tau_hat[rows].tolist(), result.selector[rows].tolist(),
-                )
-            ]))
+        for start in range(0, len(result.grid), block):
+            lines = []
+            for g, tau_hats in enumerate(result.grid[start:start + block].tolist(), start):
+                head = f"{g % trials},{result.n_grid[g // trials]},"
+                lines += [
+                    f"{head}{mid}{pair(x)}{tail}"
+                    for mid, x, tail in zip(mids[g if len(mids) > 1 else 0], tau_hats, tails)
+                ]
+            fh.write("".join(lines))
 
 
 def _summary_row(stats):

@@ -7,14 +7,16 @@ sequentially or on a process pool.
 
 The three studies (error against n at a fixed T, error against T, and
 the selectors against the oracle T) share one pipeline.  A trial returns
-its records as columns; ``_run_study`` runs the trials, stacks their
-columns into one (trial, row) grid and summarises each row of each n
-into one ``StudyResult``.
+its records as columns; ``_run_study`` writes each trial's tau_hat into
+one (trial, row) grid as it arrives and summarises each row of each n
+into one ``StudyResult``, which builds the record columns on demand.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -116,21 +118,50 @@ class ExperimentConfig:
 
 @dataclass(frozen=True, eq=False)
 class StudyResult:
-    """The records of one study as columns, one entry per trial and selector,
-    and their summary.
+    """The records of one study as a (trial, row) grid of tau_hat, and their summary.
+
+    ``grid`` has one read-only row per trial, n by n in ``n_grid`` order,
+    and one column per row key of ``rows``, a (T, selector) pair; T is
+    None for the selectors that pick T afresh in every trial.  ``T_grid``
+    holds each record's T: one row shared by every trial, or one row per
+    trial when a selector picks T.  The record columns, one entry per row
+    of records.csv, are built from these on access.
 
     ``summary`` maps (n, T, selector) to the stats of that group's
     ``abs_error``, in the order the groups first appear in the records.
-    T is None for the selectors that pick T afresh in every trial.
     """
 
-    trial_index: np.ndarray
-    n: np.ndarray
-    T: np.ndarray
-    tau_hat: np.ndarray
-    abs_error: np.ndarray
-    selector: np.ndarray
+    grid: np.ndarray
+    rows: tuple[tuple[int | None, str], ...]
+    T_grid: np.ndarray
+    n_grid: tuple[int, ...]
+    trials: int
+    tau: float
     summary: dict[tuple[int, int | None, str], SummaryStats]
+
+    @property
+    def trial_index(self) -> np.ndarray:
+        return np.tile(np.repeat(np.arange(self.trials), len(self.rows)), len(self.n_grid))
+
+    @property
+    def n(self) -> np.ndarray:
+        return np.repeat(self.n_grid, self.trials * len(self.rows))
+
+    @property
+    def T(self) -> np.ndarray:
+        return np.broadcast_to(self.T_grid, self.grid.shape).flatten()
+
+    @property
+    def tau_hat(self) -> np.ndarray:
+        return self.grid.ravel()
+
+    @property
+    def abs_error(self) -> np.ndarray:
+        return np.abs(self.grid - self.tau).ravel()
+
+    @property
+    def selector(self) -> np.ndarray:
+        return np.tile([tag for _, tag in self.rows], len(self.grid))
 
     @property
     def t_star(self) -> int:
@@ -168,18 +199,29 @@ def sample_case_means(case: MeanCase, d: int, rng: np.random.Generator):
     case = MeanCase(case)
     if case is MeanCase.RATE_MODEL:
         return sample_rate_means(d, rng)
-    if case is MeanCase.CASE_A:
-        j = np.arange(1, d + 1, dtype=np.float64)
-        scale = 1.0 / (math.sqrt(2.0) * j)
-        return rng.normal(0.0, scale), rng.normal(0.0, scale)
     _check_case_d(case, d)
-    tail_j = np.arange(21, d + 1, dtype=np.float64)
-    tail_scale = 1.0 / (math.sqrt(2.0) * (tail_j - 20.0))
-    scale_minus = np.concatenate([np.full(20, math.sqrt(0.5)), tail_scale])
+    scale_minus, scale_plus = _case_scales(case, d)
     theta_minus = rng.normal(0.0, scale_minus)
+    if case is MeanCase.CASE_A:
+        return theta_minus, rng.normal(0.0, scale_plus)
     loc_plus = np.concatenate([theta_minus[:20], np.zeros(d - 20)])
-    scale_plus = np.concatenate([np.full(20, 0.1), tail_scale])
     return theta_minus, rng.normal(loc_plus, scale_plus)
+
+
+@functools.lru_cache(maxsize=8)
+def _case_scales(case: MeanCase, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Case A's or case B's coordinate sds before and after the change, read-only."""
+    if case is MeanCase.CASE_A:
+        scale = 1.0 / (math.sqrt(2.0) * np.arange(1, d + 1, dtype=np.float64))
+        scales = scale, scale
+    else:
+        tail_j = np.arange(21, d + 1, dtype=np.float64)
+        tail_scale = 1.0 / (math.sqrt(2.0) * (tail_j - 20.0))
+        scales = (np.concatenate([np.full(20, math.sqrt(0.5)), tail_scale]),
+                  np.concatenate([np.full(20, 0.1), tail_scale]))
+    for scale in scales:
+        scale.flags.writeable = False
+    return scales
 
 
 def _trial_sample(config: ExperimentConfig, trial: int, n: int, T: int, tag: str):
@@ -192,9 +234,11 @@ def _trial_sample(config: ExperimentConfig, trial: int, n: int, T: int, tag: str
     return rng, generate_sample(spec, int(rng.integers(0, _SEED_CAP)))
 
 
-def _run_trials(fn, payloads, workers: int) -> list:
+def _run_trials(fn, payloads, workers: int):
+    """The trials' batches in payload order: lazily when serial, all run before
+    this returns on a pool."""
     if workers <= 1:
-        return [fn(p) for p in payloads]
+        return map(fn, payloads)
     from concurrent.futures import ProcessPoolExecutor  # not loaded by serial runs
     chunk = max(1, len(payloads) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -205,18 +249,24 @@ def _run_trials(fn, payloads, workers: int) -> list:
 # three equal-length columns: the T used, tau_hat and the selector.
 
 
+@functools.lru_cache(maxsize=8)
+def _fixed_tags(rows: int) -> tuple[str, ...]:
+    """The selector column of `rows` fixed-T records, one tuple shared by every trial."""
+    return ("fixed-T",) * rows
+
+
 def _rate_trial(payload):
     config, n, trial = payload
     t_fixed = config.t_grid[0]
     _, sample = _trial_sample(config, trial, n, t_fixed, "fixed-T")
-    return [t_fixed], [estimate_tau(sample, t_fixed).tau_hat], ["fixed-T"]
+    return [t_fixed], [estimate_tau(sample, t_fixed).tau_hat], _fixed_tags(1)
 
 
 def _sweep_trial(payload):
     config, n, trial = payload
     _, sample = _trial_sample(config, trial, n, 0, "sweep")
     k_hat, _ = sweep_estimate(sample, config.t_grid)
-    return config.t_grid, k_hat / n, ["fixed-T"] * len(k_hat)
+    return config.t_grid, k_hat / n, _fixed_tags(len(k_hat))
 
 
 def _selection_trial(payload):
@@ -239,32 +289,36 @@ _PICKS_T = frozenset({"method1", "method2"})
 
 def _run_study(trial_fn, config: ExperimentConfig, workers: int) -> StudyResult:
     payloads = [(config, n, trial) for n in config.n_grid for trial in range(config.trials)]
-    batches = _run_trials(trial_fn, payloads, workers)
-    T_rows, tau_hat, selectors = zip(*batches)
-    tau_hat, selector = np.array(tau_hat), selectors[0]
+    batches = iter(_run_trials(trial_fn, payloads, workers))
+    first = next(batches)
+    T_first, _, selectors = first
     # Every trial returns the same (T, selector) rows in the same order, T aside
     # where the selector picks it: the records form a (trial, row) grid, and each
     # summary group is one row's column of one n's block, in (n, row) order.
-    keyed = ~np.isin(selector, list(_PICKS_T))
-    if keyed.all():
-        same_rows = all(t == T_rows[0] for t in T_rows)
-        T = np.tile(T_rows[0], (len(batches), 1))
-    else:
-        T = np.array(T_rows)
-        same_rows = (T[:, keyed] == T[0, keyed]).all()
-    if selectors.count(selector) < len(selectors) or not same_rows:
-        raise RuntimeError("trials returned different (T, selector) rows")
-    rows = list(zip(np.where(keyed, T[0], None).tolist(), selector))
-    abs_error = np.abs(tau_hat - config.tau)
-    blocks = abs_error.reshape(len(config.n_grid), config.trials, len(rows))
+    # Only a selector that picks T needs a T per trial; other rows share T_row.
+    keyed = ~np.isin(selectors, list(_PICKS_T))
+    picked = not keyed.all()
+    T_row = np.array(T_first)
+    grid = np.empty((len(payloads), len(selectors)))
+    T_grid = np.empty(grid.shape, T_row.dtype) if picked else T_row[None]
+    for i, (T, tau_hat, tags) in enumerate(itertools.chain([first], batches)):
+        grid[i] = tau_hat
+        if picked:
+            T_grid[i] = T
+            same_rows = (T_grid[i, keyed] == T_row[keyed]).all()
+        else:
+            same_rows = T == T_first
+        if tags != selectors or not same_rows:
+            raise RuntimeError("trials returned different (T, selector) rows")
+    grid.flags.writeable = T_grid.flags.writeable = False
+    rows = tuple(zip(np.where(keyed, T_row, None).tolist(), selectors))
+    blocks = np.abs(grid - config.tau).reshape(len(config.n_grid), config.trials, len(rows))
     summary = {}
     for n, block in zip(config.n_grid, blocks):
         summary.update(zip([(n, t, tag) for t, tag in rows], summarize_columns(block)))
     return StudyResult(
-        trial_index=np.tile(np.repeat(np.arange(config.trials), len(rows)), len(config.n_grid)),
-        n=np.repeat(config.n_grid, config.trials * len(rows)),
-        T=T.ravel(), tau_hat=tau_hat.ravel(), abs_error=abs_error.ravel(),
-        selector=np.tile(selector, len(batches)), summary=summary,
+        grid=grid, rows=rows, T_grid=T_grid, n_grid=config.n_grid, trials=config.trials,
+        tau=config.tau, summary=summary,
     )
 
 

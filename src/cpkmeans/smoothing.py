@@ -55,10 +55,18 @@ def check_sigma(sigma: float):
 
 def surrogate(Y: SignalMatrix) -> np.ndarray:
     """Full column mean minus (2/n) times the sum of the first floor(n/2) rows,
-    read-only; each coordinate's noise variance is sigma^2 / n."""
+    read-only; each coordinate's noise variance is sigma^2 / n.
+
+    Both sums run over the columns shifted by their first row, so a large
+    common offset does not cancel.  The shift drops out of z except, for
+    odd n, the first row's 1/n share, which is added back.
+    """
     v = Y.values
     n = Y.n
-    z = v.mean(axis=0) - (2.0 / n) * v[: n // 2].sum(axis=0)
+    x = v - v[0]
+    z = x.mean(axis=0) - (2.0 / n) * x[: n // 2].sum(axis=0)
+    if n % 2:
+        z += v[0] / n
     z.flags.writeable = False
     return z
 

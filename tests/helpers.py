@@ -117,4 +117,5 @@ def summary_by_record(result) -> dict:
     ):
         key = (n, None if tag in ("method1", "method2") else t, tag)
         groups.setdefault(key, []).append(i)
-    return {key: summarize(result.abs_error[rows]) for key, rows in groups.items()}
+    abs_error = result.abs_error  # built on every read
+    return {key: summarize(abs_error[rows]) for key, rows in groups.items()}

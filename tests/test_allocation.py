@@ -10,12 +10,18 @@ freed memory goes back to the OS depends on what the process allocated
 and freed before; the pytest process's history can hide the churn.
 
 A warm sweep trial allocates no large array: its sample and its table go
-into the memory of the last trial's.  What remains is the study's result
-grid, about 2,200 faults for 400 trials.  While each trial freed a fresh
-sample and table, the count followed the heap's layout: 2,640 to 27,450
-over start-ups that differed only in the size of the environment.  So a
-last test also bounds what one warm trial allocates, as tracemalloc sees
-it, which no layout changes.
+into the memory of the last trial's.  What remains is the study's result,
+one 640 KB (trial, row) grid of tau_hat for 400 trials, filled as the
+trials arrive: about 800 faults.  While each trial freed a fresh sample
+and table, the count followed the heap's layout: 2,640 to 27,450 over
+start-ups that differed only in the size of the environment.  So a test
+also bounds what one warm trial allocates, as tracemalloc sees it, which
+no layout changes.
+
+A last test bounds the memory of that sweep study and of writing its
+records, as tracemalloc sees it: the result holds its grid, not one
+80,000-entry column per record field, and the writer holds one block of
+lines at a time.
 """
 
 import mmap
@@ -48,13 +54,18 @@ needs_fault_counts = pytest.mark.skipif(
     reason="needs minor-fault counts from getrusage (Linux)",
 )
 
-_MEASURE = """
-import resource
+_PRELUDE = """
 from cpkmeans.experiments import ExperimentConfig, run_rate_study, run_t_sweep_study
 
 def config(trials, **kw):
     return ExperimentConfig(base_seed=1, trials=trials, sigma=1.0, tau=0.3, **kw)
 
+def sweep(trials):
+    return config(trials, n_grid=(100,), d=200, case="caseB", t_grid=range(1, 201))
+"""
+
+_FAULTS = """
+import resource
 {warm}
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 {run}
@@ -62,26 +73,28 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
-def _warm_faults(warm: str, run: str) -> int:
-    """Minor faults of `run`, after `warm`, in a fresh interpreter."""
+def _fresh(code: str) -> list[int]:
+    """The integers `code` prints, run after the shared prelude in a fresh interpreter."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    code = _MEASURE.format(warm=warm, run=run)
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", _PRELUDE + code], env=env, capture_output=True, text=True,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return int(proc.stdout)
+    return [int(x) for x in proc.stdout.split()]
+
+
+def _warm_faults(warm: str, run: str) -> int:
+    """Minor faults of `run`, after `warm`, in a fresh interpreter."""
+    return _fresh(_FAULTS.format(warm=warm, run=run))[0]
 
 
 @needs_fault_counts
 def test_warm_sweep_study_faults():
     # The sweep workload's shape: 400 trials of 100 x 200, a table and 200 fits each.
-    sweep = "config({}, n_grid=(100,), d=200, case='caseB', t_grid=range(1, 201))"
-    faults = _warm_faults(
-        f"run_t_sweep_study({sweep.format(20)})", f"run_t_sweep_study({sweep.format(400)})"
-    )
-    assert faults < 5_000, f"{faults} minor faults for 400 warm sweep trials"
+    faults = _warm_faults("run_t_sweep_study(sweep(20))", "run_t_sweep_study(sweep(400))")
+    assert faults < 1_500, f"{faults} minor faults for 400 warm sweep trials"
 
 
 @needs_fault_counts
@@ -120,3 +133,27 @@ def test_warm_trials_allocate_no_sample_or_table(trial, config, bound):
             assert peak < bound, f"trial {i} allocated up to {peak} bytes"
     finally:
         tracemalloc.stop()
+
+
+_MEMORY = """
+import os, tracemalloc
+from cpkmeans import cli
+
+cli._write_records(os.devnull, 0.3, run_t_sweep_study(sweep(20)))
+tracemalloc.start()
+result = run_t_sweep_study(sweep(400))
+held, study_peak = tracemalloc.get_traced_memory()
+tracemalloc.reset_peak()
+cli._write_records(os.devnull, 0.3, result)
+print(held, study_peak, tracemalloc.get_traced_memory()[1] - held)
+"""
+
+
+def test_sweep_study_and_records_memory():
+    # A warmed 400-trial sweep study (80,000 records) and its records.csv:
+    # about 0.73 MB held, a 2.7 MB study peak and 0.14 MB for the writer.
+    # Seven record columns of 80,000 entries would hold 5.6 MB.
+    held, study_peak, writer = _fresh(_MEMORY)
+    assert held < 1_500_000, f"the sweep result holds {held} bytes"
+    assert study_peak < 4_000_000, f"the sweep study peaked at {study_peak} bytes"
+    assert writer < 500_000, f"writing the records took {writer} bytes above the result"

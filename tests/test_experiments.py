@@ -18,7 +18,7 @@ from cpkmeans import (
     sample_rate_means,
 )
 
-from cpkmeans.experiments import _run_study
+from cpkmeans.experiments import _rate_trial, _run_study, _selection_trial, _sweep_trial
 from helpers import same_records, summary_by_record
 
 
@@ -182,8 +182,10 @@ def test_regression_study_recovers_power_laws():
             (n, 10, "fixed-T"): SummaryStats(mean=e, median=e, variance=0.0, std_dev=0.0, count=1)
             for n, e in errors.items()
         }
-        empty = np.empty(0)
-        return StudyResult(empty, empty, empty, empty, empty, empty, summary)
+        return StudyResult(
+            grid=np.empty((0, 1)), rows=((10, "fixed-T"),), T_grid=np.array([[10]]),
+            n_grid=tuple(errors), trials=0, tau=0.3, summary=summary,
+        )
 
     slope_mean, slope_median = run_regression_study(
         fake({100: 3.0 / 100, 200: 3.0 / 200, 400: 3.0 / 400})
@@ -293,6 +295,43 @@ def test_grid_summary_matches_per_record_grouping(study):
     rows = {"rate": 1, "sweep": 25, "selection": 3}[study]
     assert len(result.summary) == len(config.n_grid) * rows
     assert len(result.n) == len(config.n_grid) * config.trials * rows
+
+
+def _columns_from_batches(trial_fn, config):
+    # The record columns built the way the study once stored them: from the
+    # list of every trial's batch, by np.tile and np.repeat, with the trials'
+    # T (and so their picks) stacked row by row.
+    batches = [trial_fn((config, n, trial)) for n in config.n_grid for trial in range(config.trials)]
+    T, tau_hat, selectors = zip(*batches)
+    rows = len(selectors[0])
+    tau_hat = np.array(tau_hat)
+    return {
+        "trial_index": np.tile(np.repeat(np.arange(config.trials), rows), len(config.n_grid)),
+        "n": np.repeat(config.n_grid, config.trials * rows),
+        "T": np.array(T).ravel(),
+        "tau_hat": tau_hat.ravel(),
+        "abs_error": np.abs(tau_hat - config.tau).ravel(),
+        "selector": np.tile(list(selectors[0]), len(batches)),
+    }
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("study", ["rate", "sweep", "selection"])
+def test_record_columns_match_per_batch_construction(study, workers):
+    if study == "rate":
+        config, runner, trial_fn = _rate_config(trials=3), run_rate_study, _rate_trial
+    elif study == "sweep":
+        config, runner, trial_fn = _case_b_config(trials=3), run_t_sweep_study, _sweep_trial
+    else:
+        config = _case_b_config(trials=4)
+        runner, trial_fn = run_selection_comparison, _selection_trial
+    result = runner(config, workers=workers)
+    for name, expected in _columns_from_batches(trial_fn, config).items():
+        column = getattr(result, name)
+        assert column.dtype == expected.dtype, name
+        assert np.array_equal(column, expected), name
+    if study == "selection":  # the picks differ between trials
+        assert len(set(result.T[result.selector == "method2"].tolist())) > 1
 
 
 def test_run_study_rejects_trials_with_different_rows():

@@ -60,6 +60,23 @@ def test_surrogate_row_shift_invariance():
     np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
 
 
+@pytest.mark.parametrize("offset", [1e6, 1e8])
+def test_surrogate_offset_moves_z_no_more_than_the_data_rounding(offset):
+    # Adding the offset rounds each entry by up to max|(v + c) - c - v|; z
+    # may move by no more than that, as it would if the offset cancelled in
+    # raw column sums.
+    rng = np.random.default_rng(21)
+    for seed in range(20):
+        theta_minus, theta_plus = sample_case_means(MeanCase.CASE_B, 200, rng)
+        spec = ModelSpec(
+            n=100, d=200, tau=0.3, theta_minus=theta_minus, theta_plus=theta_plus, sigma=1.0
+        )
+        v = generate_sample(spec, seed).values.copy()
+        rounding = np.abs((v + offset) - offset - v).max()
+        moved = surrogate(SignalMatrix(v + offset)) - surrogate(SignalMatrix(v))
+        assert np.abs(moved).max() <= rounding
+
+
 def test_surrogate_noise_variance_mc():
     # Per-coordinate sample variance of the surrogate tracks sigma^2 / n.
     spec = ModelSpec(n=10, d=4, tau=0.3, theta_minus=np.zeros(4), theta_plus=np.ones(4), sigma=1.0)

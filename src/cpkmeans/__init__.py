@@ -11,7 +11,6 @@ from .errors import ValidationError
 from .estimator import (
     ChangePointFit,
     estimate_tau,
-    objective_bruteforce,
     sweep_estimate,
 )
 from .experiments import (
@@ -63,7 +62,6 @@ __all__ = [
     "rate_psi",
     "sobolev_sup",
     "ChangePointFit",
-    "objective_bruteforce",
     "estimate_tau",
     "sweep_estimate",
     "surrogate",

@@ -154,7 +154,7 @@ def read_config_file(path) -> dict[str, tuple[int, str]]:
     return items
 
 
-# Each key's parser, and the defaults; all but ``study`` are ExperimentConfig fields.
+# Each key's parser, one key per ExperimentConfig field, and the defaults.
 _CONFIG_KEYS = {
     "study": str, "case": str, "base_seed": int, "trials": int, "n_grid": _parse_int_list,
     "d": int, "sigma": float, "tau": float, "t_grid": _parse_int_list, "t_star": int,
@@ -183,15 +183,11 @@ def _build_experiment(args) -> tuple[str, ExperimentConfig, int]:
             fields[key] = _CONFIG_KEYS[key](text)
         except ValueError:
             raise ValidationError(f"{args.config}:{lineno}: cannot parse {key}={text!r}") from None
-    study = fields.pop("study")
-    if study not in ("rate", "sweep", "selection"):
-        raise ValidationError(f"study must be rate | sweep | selection, got {study!r}")
-    if fields["case"] not in {case.value for case in MeanCase}:
-        raise ValidationError(f"case must be rate | caseA | caseB, got {fields['case']!r}")
     for key, override in (("base_seed", args.seed), ("trials", args.trials)):
         if override is not None:
             fields[key] = override
-    return study, ExperimentConfig(**fields), args.workers
+    config = ExperimentConfig(**fields)
+    return config.study, config, args.workers
 
 
 _RECORD_HEADER = ["trial_index", "n", "T", "tau_true", "tau_hat", "abs_error", "selector"]
@@ -253,13 +249,13 @@ def _summary_row(stats):
             _fmt(stats.variance), _fmt(stats.std_dev)]
 
 
-def _write_summary(path, study, config, result: StudyResult):
+def _write_summary(path, config, result: StudyResult):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_SUMMARY_HEADER)
         for (n, T, selector), stats in result.summary.items():
             writer.writerow(
-                [study, config.case.value, n, "" if T is None else T, selector]
+                [config.study, config.case.value, n, "" if T is None else T, selector]
                 + _summary_row(stats)
             )
 
@@ -315,11 +311,12 @@ def _run_experiment(args) -> int:
         result = run_selection_comparison(config, workers=workers)
         for (_, _, tag), stats in result.summary.items():
             print(f"{tag}_mean={_fmt(stats.mean)}")
-    # Made only now, so a study that rejects its config leaves no directory.
+    # Made only once the study has run, so a run that fails, such as a rate
+    # study whose slope is undefined, leaves no directory.
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_records(out_dir / "records.csv", config.tau, result)
-    _write_summary(out_dir / "summary.csv", study, config, result)
+    _write_summary(out_dir / "summary.csv", config, result)
     return EXIT_OK
 
 

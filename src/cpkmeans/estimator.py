@@ -4,8 +4,7 @@ The split index is the k in {2, ..., n-2} minimizing the total
 within-segment sum of squares of the first T coordinates; the estimated
 change-point fraction is k / n.  Fits read that sum of squares off the
 centred CUSUM kernels in ``_kernels``, which evaluate every split at
-once.  ``objective_bruteforce`` recomputes one split's sum of squares by
-the direct mean-then-SSE formula and exists purely to cross-check them.
+once.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from .model import SignalMatrix
 
 __all__ = [
     "ChangePointFit",
-    "objective_bruteforce",
     "estimate_tau",
     "sweep_estimate",
 ]
@@ -42,28 +40,6 @@ class ChangePointFit:
 def _check_t(Y: SignalMatrix, T: int):
     if not 1 <= T <= Y.d:
         raise ValidationError(f"T must lie in [1, {Y.d}], got {T}")
-
-
-def _check_k(Y: SignalMatrix, k: int):
-    # Any split with two non-empty segments is evaluable; the *estimator*
-    # restricts its argmin to {2, ..., n-2}.
-    if not 1 <= k <= Y.n - 1:
-        raise ValidationError(f"k must lie in [1, {Y.n - 1}], got {k}")
-
-
-def objective_bruteforce(Y: SignalMatrix, T: int, k: int) -> float:
-    """Two-segment SSE of the first T coordinates when rows split after row k.
-
-    Computed by direct segment means and deviations, as the kernels' oracle.
-    """
-    _check_t(Y, T)
-    _check_k(Y, k)
-    first = Y.values[:k, :T]
-    second = Y.values[k:, :T]
-    return float(
-        ((first - first.mean(axis=0)) ** 2).sum()
-        + ((second - second.mean(axis=0)) ** 2).sum()
-    )
 
 
 def estimate_tau(Y: SignalMatrix, T: int) -> ChangePointFit:

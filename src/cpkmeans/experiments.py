@@ -6,17 +6,17 @@ independent work units: results are bit-identical whether they run
 sequentially or on a process pool.
 
 The three studies (error against n at a fixed T, error against T, and
-the selectors against the oracle T) share one pipeline.  A trial returns
-its records as columns; ``_run_study`` writes each trial's tau_hat into
-one (trial, row) grid as it arrives and summarises each row of each n
-into one ``StudyResult``, which builds the record columns on demand.
+the selectors against the oracle T) share one pipeline.  The config
+names its study, and so its (T, selector) rows; a trial returns one
+tau_hat per row.  ``_run_study`` writes each trial's tau_hat into one
+(trial, row) grid as it arrives and summarises each row of each n into
+one ``StudyResult``, which builds the record columns on demand.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -69,8 +69,15 @@ def _check_distinct(name: str, grid: tuple[int, ...]):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Grid and tuning for one study; every field has a config-file twin."""
+    """One study, its grid and its tuning; every field has a config-file twin.
 
+    ``study`` is ``rate`` (error against n at one T), ``sweep`` (error
+    against T at one n) or ``selection`` (the oracle T and the two
+    practical selectors at one n).  Construction runs every check, the
+    study's own included, so a config that exists can be run.
+    """
+
+    study: str
     base_seed: int
     trials: int
     n_grid: tuple[int, ...]
@@ -85,9 +92,14 @@ class ExperimentConfig:
     t_star: int | None = None
 
     def __post_init__(self):
+        if self.study not in ("rate", "sweep", "selection"):
+            raise ValidationError(f"study must be rate | sweep | selection, got {self.study!r}")
+        try:
+            object.__setattr__(self, "case", MeanCase(self.case))
+        except ValueError:
+            raise ValidationError(f"case must be rate | caseA | caseB, got {self.case!r}") from None
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         object.__setattr__(self, "t_grid", tuple(int(t) for t in self.t_grid))
-        object.__setattr__(self, "case", MeanCase(self.case))
         if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
         if self.d < 1:
@@ -114,6 +126,35 @@ class ExperimentConfig:
                 raise ValidationError(f"every T must lie in [1, {self.d}], got {t}")
         if self.t_star is not None and not 1 <= self.t_star <= self.d:
             raise ValidationError(f"t_star must lie in [1, {self.d}], got {self.t_star}")
+        if self.study == "rate":
+            if self.case is not MeanCase.RATE_MODEL:
+                raise ValidationError("rate study requires the rate-model means")
+            if len(self.t_grid) != 1:
+                raise ValidationError("rate study uses a single fixed T")
+        elif self.study == "sweep":
+            if self.case is MeanCase.RATE_MODEL:
+                raise ValidationError("T sweep requires case A or case B means")
+            if len(self.n_grid) != 1:
+                raise ValidationError("T sweep uses a single sample size")
+        else:
+            if self.case is not MeanCase.CASE_B:
+                raise ValidationError("selection comparison requires case B means")
+            if len(self.n_grid) != 1:
+                raise ValidationError("selection comparison uses a single sample size")
+            if self.t_star is None:
+                raise ValidationError("selection comparison needs t_star (oracle T)")
+            subsample_size(self.n_grid[0], self.n_sub, self.frac)
+
+    @property
+    def rows(self) -> tuple[tuple[int | None, str], ...]:
+        """The (T, selector) key of each record a trial makes, in order.
+
+        T is None for method 1 and method 2, which pick T afresh in every
+        trial; every other row keeps its T in every trial.
+        """
+        if self.study == "selection":
+            return (self.t_star, "oracle"), (None, "method1"), (None, "method2")
+        return tuple((t, "fixed-T") for t in self.t_grid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,73 +286,55 @@ def _run_trials(fn, payloads, workers: int):
         return list(pool.map(fn, payloads, chunksize=chunk))
 
 
-# Each trial takes a (config, n, trial) payload and returns its records as
-# three equal-length columns: the T used, tau_hat and the selector.
-
-
-@functools.lru_cache(maxsize=8)
-def _fixed_tags(rows: int) -> tuple[str, ...]:
-    """The selector column of `rows` fixed-T records, one tuple shared by every trial."""
-    return ("fixed-T",) * rows
+# Each trial takes a (config, n, trial) payload and returns (picked_T, tau_hat):
+# one tau_hat per row of ``config.rows`` and, where the study's selectors pick
+# T, the T of every row, else None.
 
 
 def _rate_trial(payload):
     config, n, trial = payload
     t_fixed = config.t_grid[0]
     _, sample = _trial_sample(config, trial, n, t_fixed, "fixed-T")
-    return [t_fixed], [estimate_tau(sample, t_fixed).tau_hat], _fixed_tags(1)
+    return None, [estimate_tau(sample, t_fixed).tau_hat]
 
 
 def _sweep_trial(payload):
     config, n, trial = payload
     _, sample = _trial_sample(config, trial, n, 0, "sweep")
     k_hat, _ = sweep_estimate(sample, config.t_grid)
-    return config.t_grid, k_hat / n, _fixed_tags(len(k_hat))
+    return None, k_hat / n
 
 
 def _selection_trial(payload):
     config, n, trial = payload
     rng, sample = _trial_sample(config, trial, n, 0, "selection")
-    picks = {
-        "oracle": config.t_star,
-        "method1": method1_select(surrogate(sample)),
-        "method2": method2_select(
-            sample, config.n_sub, config.frac, int(rng.integers(0, _SEED_CAP))
-        ),
-    }
-    T = list(picks.values())
-    return T, [estimate_tau(sample, t).tau_hat for t in T], list(picks)
+    T = [
+        config.t_star,
+        method1_select(surrogate(sample)),
+        method2_select(sample, config.n_sub, config.frac, int(rng.integers(0, _SEED_CAP))),
+    ]
+    return T, [estimate_tau(sample, t).tau_hat for t in T]
 
 
-# Selectors that pick T afresh in every trial; their summary groups have no T.
-_PICKS_T = frozenset({"method1", "method2"})
-
-
-def _run_study(trial_fn, config: ExperimentConfig, workers: int) -> StudyResult:
+def _run_study(trial_fn, study: str, config: ExperimentConfig, workers: int) -> StudyResult:
+    if config.study != study:
+        raise ValidationError(f"the {study} study cannot run a config for study={config.study!r}")
+    # The records form a (trial, row) grid, and each summary group is one row's
+    # column of one n's block, in (n, row) order.  Only a selector that picks T
+    # needs a T per trial; otherwise every trial shares the rows' T.
+    rows = config.rows
+    picked = any(t is None for t, _ in rows)
     payloads = [(config, n, trial) for n in config.n_grid for trial in range(config.trials)]
-    batches = iter(_run_trials(trial_fn, payloads, workers))
-    first = next(batches)
-    T_first, _, selectors = first
-    # Every trial returns the same (T, selector) rows in the same order, T aside
-    # where the selector picks it: the records form a (trial, row) grid, and each
-    # summary group is one row's column of one n's block, in (n, row) order.
-    # Only a selector that picks T needs a T per trial; other rows share T_row.
-    keyed = ~np.isin(selectors, list(_PICKS_T))
-    picked = not keyed.all()
-    T_row = np.array(T_first)
-    grid = np.empty((len(payloads), len(selectors)))
-    T_grid = np.empty(grid.shape, T_row.dtype) if picked else T_row[None]
-    for i, (T, tau_hat, tags) in enumerate(itertools.chain([first], batches)):
+    grid = np.empty((len(payloads), len(rows)))
+    T_grid = np.empty(grid.shape, int) if picked else np.array([[t for t, _ in rows]])
+    for i, (T, tau_hat) in enumerate(_run_trials(trial_fn, payloads, workers)):
+        # Checked, since numpy would broadcast a one-element row silently.
+        if len(tau_hat) != len(rows):
+            raise RuntimeError(f"a trial returned {len(tau_hat)} estimates for {len(rows)} rows")
         grid[i] = tau_hat
         if picked:
             T_grid[i] = T
-            same_rows = (T_grid[i, keyed] == T_row[keyed]).all()
-        else:
-            same_rows = T == T_first
-        if tags != selectors or not same_rows:
-            raise RuntimeError("trials returned different (T, selector) rows")
     grid.flags.writeable = T_grid.flags.writeable = False
-    rows = tuple(zip(np.where(keyed, T_row, None).tolist(), selectors))
     blocks = np.abs(grid - config.tau).reshape(len(config.n_grid), config.trials, len(rows))
     summary = {}
     for n, block in zip(config.n_grid, blocks):
@@ -324,11 +347,7 @@ def _run_study(trial_fn, config: ExperimentConfig, workers: int) -> StudyResult:
 
 def run_rate_study(config: ExperimentConfig, workers: int = 1) -> StudyResult:
     """Absolute estimation error at a fixed truncation level, per sample size."""
-    if config.case is not MeanCase.RATE_MODEL:
-        raise ValidationError("rate study requires the rate-model means")
-    if len(config.t_grid) != 1:
-        raise ValidationError("rate study uses a single fixed T")
-    return _run_study(_rate_trial, config, workers)
+    return _run_study(_rate_trial, "rate", config, workers)
 
 
 def run_regression_study(result: StudyResult) -> tuple[float, float]:
@@ -348,20 +367,9 @@ def run_regression_study(result: StudyResult) -> tuple[float, float]:
 
 def run_t_sweep_study(config: ExperimentConfig, workers: int = 1) -> StudyResult:
     """Error as a function of the truncation level; the result's ``t_star`` is the oracle T."""
-    if config.case not in (MeanCase.CASE_A, MeanCase.CASE_B):
-        raise ValidationError("T sweep requires case A or case B means")
-    if len(config.n_grid) != 1:
-        raise ValidationError("T sweep uses a single sample size")
-    return _run_study(_sweep_trial, config, workers)
+    return _run_study(_sweep_trial, "sweep", config, workers)
 
 
 def run_selection_comparison(config: ExperimentConfig, workers: int = 1) -> StudyResult:
     """Oracle T* versus the two practical selectors, on the same samples."""
-    if config.case is not MeanCase.CASE_B:
-        raise ValidationError("selection comparison requires case B means")
-    if len(config.n_grid) != 1:
-        raise ValidationError("selection comparison uses a single sample size")
-    if config.t_star is None:
-        raise ValidationError("selection comparison needs t_star (oracle T)")
-    subsample_size(config.n_grid[0], config.n_sub, config.frac)
-    return _run_study(_selection_trial, config, workers)
+    return _run_study(_selection_trial, "selection", config, workers)

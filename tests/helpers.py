@@ -6,7 +6,8 @@ evaluates the split criterion segment by segment, the table reference
 is the objective table's direct (T, k) centred CUSUM formula, the
 method-2 oracle builds one full objective table per subsample, the
 sample reference adds a full means matrix to the scaled noise, and the
-summary reference groups the records one at a time in a dict.
+summary reference groups the records one at a time in a dict, and the
+split's sum of squares comes from direct segment means.
 """
 
 import math
@@ -14,7 +15,29 @@ import math
 import numpy as np
 
 from cpkmeans._kernels import objective_table
+from cpkmeans.errors import ValidationError
+from cpkmeans.estimator import _check_t
 from cpkmeans.stats import summarize
+
+
+def _check_k(Y, k: int):
+    # Any split with two non-empty segments is evaluable; the *estimator*
+    # restricts its argmin to {2, ..., n-2}.
+    if not 1 <= k <= Y.n - 1:
+        raise ValidationError(f"k must lie in [1, {Y.n - 1}], got {k}")
+
+
+def objective_bruteforce(Y, T: int, k: int) -> float:
+    """Two-segment SSE of the first T coordinates of a SignalMatrix when rows
+    split after row k, by direct segment means and deviations: the kernels' oracle."""
+    _check_t(Y, T)
+    _check_k(Y, k)
+    first = Y.values[:k, :T]
+    second = Y.values[k:, :T]
+    return float(
+        ((first - first.mean(axis=0)) ** 2).sum()
+        + ((second - second.mean(axis=0)) ** 2).sum()
+    )
 
 
 def lepski_bruteforce(z: np.ndarray, nu_sq: float, c_lepski: float, n: int, d: int) -> int:

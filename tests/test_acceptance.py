@@ -5,13 +5,14 @@ timings.  Every tolerance is pinned here; the Monte Carlo criteria use a
 fixed base seed so reruns are bit-identical.
 """
 
+import dataclasses
 import math
 import time
 
 import numpy as np
 import pytest
 
-from helpers import lepski_bruteforce, same_records
+from helpers import lepski_bruteforce, objective_bruteforce, same_records
 
 from cpkmeans import (
     ExperimentConfig,
@@ -24,7 +25,6 @@ from cpkmeans import (
     gaussian_tail_bound,
     generate_sample,
     lepski_select,
-    objective_bruteforce,
     run_rate_study,
     run_regression_study,
     run_selection_comparison,
@@ -129,6 +129,7 @@ def test_criterion_3_lepski_definitional_oracle():
 def test_criterion_4_rate_reproduction():
     started = time.perf_counter()
     config = ExperimentConfig(
+        study="rate",
         base_seed=BASE_SEED,
         trials=200,
         n_grid=(500, 1000, 2000, 4000),
@@ -151,6 +152,7 @@ def test_criterion_4_rate_reproduction():
 def test_criterion_5_case_b_sweep():
     started = time.perf_counter()
     config = ExperimentConfig(
+        study="sweep",
         base_seed=BASE_SEED,
         trials=500,
         n_grid=(100,),
@@ -177,6 +179,7 @@ def test_criterion_5_case_b_sweep():
 def test_criterion_6_table_reproduction():
     started = time.perf_counter()
     config = ExperimentConfig(
+        study="selection",
         base_seed=BASE_SEED,
         trials=300,
         n_grid=(100,),
@@ -270,20 +273,21 @@ def test_criterion_8_invariance_suite():
 
     # experiment bit-reproducibility, 1 worker vs 2
     rate_cfg = ExperimentConfig(
-        base_seed=BASE_SEED, trials=8, n_grid=(20, 40), d=20, sigma=1.0, tau=0.3,
+        study="rate", base_seed=BASE_SEED, trials=8, n_grid=(20, 40), d=20, sigma=1.0, tau=0.3,
         case=MeanCase.RATE_MODEL, t_grid=(10,),
     )
     assert same_records(run_rate_study(rate_cfg, workers=1), run_rate_study(rate_cfg, workers=2))
     sweep_cfg = ExperimentConfig(
-        base_seed=BASE_SEED, trials=4, n_grid=(20,), d=25, sigma=1.0, tau=0.3,
+        study="sweep", base_seed=BASE_SEED, trials=4, n_grid=(20,), d=25, sigma=1.0, tau=0.3,
         case=MeanCase.CASE_B, t_grid=tuple(range(1, 26)), n_sub=5, t_star=5,
     )
     assert same_records(
         run_t_sweep_study(sweep_cfg, workers=1), run_t_sweep_study(sweep_cfg, workers=2)
     )
+    selection_cfg = dataclasses.replace(sweep_cfg, study="selection")
     assert same_records(
-        run_selection_comparison(sweep_cfg, workers=1),
-        run_selection_comparison(sweep_cfg, workers=2),
+        run_selection_comparison(selection_cfg, workers=1),
+        run_selection_comparison(selection_cfg, workers=2),
     )
     _report(
         "criterion 8", True,

@@ -61,7 +61,7 @@ def config(trials, **kw):
     return ExperimentConfig(base_seed=1, trials=trials, sigma=1.0, tau=0.3, **kw)
 
 def sweep(trials):
-    return config(trials, n_grid=(100,), d=200, case="caseB", t_grid=range(1, 201))
+    return config(trials, study="sweep", n_grid=(100,), d=200, case="caseB", t_grid=range(1, 201))
 """
 
 _FAULTS = """
@@ -100,7 +100,8 @@ def test_warm_sweep_study_faults():
 @needs_fault_counts
 def test_warm_rate_trials_faults():
     # The rate workload's largest sample: 100 fixed-T fits at n = 4000, d = 20.
-    rate = "run_rate_study(config(100, n_grid=(4000,), d=20, case='rate', t_grid=(10,)))"
+    rate = ("run_rate_study(config(100, study='rate', n_grid=(4000,), d=20, case='rate',"
+            " t_grid=(10,)))")
     faults = _warm_faults(rate, rate)
     assert faults < 1_000, f"{faults} minor faults for 100 warm rate trials at n = 4000"
 
@@ -112,9 +113,11 @@ def _config(trials, **kw):
 @pytest.mark.parametrize("trial, config, bound", [
     # One fresh 160 KB sample or table would take a sweep trial past 299 KB.
     (experiments._sweep_trial,
-     _config(3, n_grid=(100,), d=200, case="caseB", t_grid=range(1, 201)), 250_000),
+     _config(3, study="sweep", n_grid=(100,), d=200, case="caseB", t_grid=range(1, 201)),
+     250_000),
     # One fresh 640 KB sample would take a rate trial past 640 KB.
-    (experiments._rate_trial, _config(3, n_grid=(4000,), d=20, case="rate", t_grid=(10,)), 400_000),
+    (experiments._rate_trial,
+     _config(3, study="rate", n_grid=(4000,), d=20, case="rate", t_grid=(10,)), 400_000),
 ], ids=["sweep", "rate"])
 def test_warm_trials_allocate_no_sample_or_table(trial, config, bound):
     # The fault counts' companion that does not depend on the heap's layout:

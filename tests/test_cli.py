@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cpkmeans import cli
+from cpkmeans import ValidationError, cli
 from cpkmeans.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -250,12 +252,12 @@ def test_experiment_bad_subsampling_is_rejected_before_trials(tmp_path, capsys, 
         ("rate", 25, "", "rate study requires the rate-model means"),
         ("selection", 25, "", "selection comparison needs t_star"),
         ("sweep", 25, "n_grid=20,40", "T sweep uses a single sample size"),
+        ("selection", 25, "t_star=5 frac=0.15", "subsample of 3 rows is too small"),
     ],
 )
 def test_experiment_bad_case_config_is_rejected_before_trials(
     tmp_path, capsys, study, d, extra, message
 ):
-    # The last three pass the config's own checks and are rejected by the study.
     keys = dict(study=study, case="caseB", base_seed=2, trials=2, n_grid=20, d=d, sigma=1.0,
                 tau=0.3, t_grid=f"1:{d}")
     keys.update(item.split("=") for item in extra.split())
@@ -266,6 +268,15 @@ def test_experiment_bad_case_config_is_rejected_before_trials(
     assert main(args) == EXIT_VALIDATION
     assert message in capsys.readouterr().err
     assert not out.exists()
+    # Every one of these errors, the study's own included, is the config's.
+    fields = {key: cli._CONFIG_KEYS[key](str(value)) for key, value in keys.items()}
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        ExperimentConfig(**fields)
+
+
+def test_experiment_config_fields_are_the_config_keys():
+    # Every ExperimentConfig field has a config-file twin, and every key a field.
+    assert {field.name for field in dataclasses.fields(ExperimentConfig)} == set(cli._CONFIG_KEYS)
 
 
 def test_experiment_unwritable_out_is_io_error(tmp_path, capsys):
@@ -418,7 +429,7 @@ def _write_records_per_row(path, tau, result):
 @pytest.mark.parametrize("study", ["sweep", "selection"])
 def test_write_records_matches_per_row_writer(tmp_path, study):
     config = ExperimentConfig(
-        base_seed=4, trials=3, n_grid=(20,), d=25, sigma=1.0, tau=0.3, case="caseB",
+        study=study, base_seed=4, trials=3, n_grid=(20,), d=25, sigma=1.0, tau=0.3, case="caseB",
         t_grid=tuple(range(1, 26)), n_sub=6, t_star=5,
     )
     runner = run_t_sweep_study if study == "sweep" else run_selection_comparison
@@ -432,7 +443,7 @@ def test_write_records_matches_per_row_writer(tmp_path, study):
 def test_write_records_in_small_chunks_matches_per_row_writer(tmp_path, monkeypatch):
     # 75 sweep rows written 4 at a time: no chunk boundary may show in the file.
     config = ExperimentConfig(
-        base_seed=4, trials=3, n_grid=(20,), d=25, sigma=1.0, tau=0.3, case="caseB",
+        study="sweep", base_seed=4, trials=3, n_grid=(20,), d=25, sigma=1.0, tau=0.3, case="caseB",
         t_grid=tuple(range(1, 26)),
     )
     result = run_t_sweep_study(config)

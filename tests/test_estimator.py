@@ -9,11 +9,11 @@ from cpkmeans import (
     estimate_tau,
     generate_sample,
     method2_select,
-    objective_bruteforce,
     sample_case_means,
     sweep_estimate,
 )
 from cpkmeans._kernels import objective_table, subsample_argmins
+from helpers import objective_bruteforce
 
 STEP = SignalMatrix(np.array([[0.0], [0.0], [1.0], [1.0]]))
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -96,6 +97,7 @@ def test_sample_case_means_determinism_and_validation():
 
 def _rate_config(**overrides):
     base = dict(
+        study="rate",
         base_seed=5,
         trials=5,
         n_grid=(20, 40),
@@ -118,8 +120,10 @@ def test_config_validation():
         _rate_config(n_grid=(21,))  # tau * n not integral
     with pytest.raises(ValidationError):
         _rate_config(t_grid=(25,))
-    with pytest.raises(ValidationError):
-        run_rate_study(_rate_config(case=MeanCase.CASE_A, n_grid=(20,)))
+    with pytest.raises(ValidationError, match="rate study requires the rate-model means"):
+        _rate_config(case=MeanCase.CASE_A, n_grid=(20,))
+    with pytest.raises(ValidationError, match="rate study uses a single fixed T"):
+        _rate_config(t_grid=(5, 10))
     with pytest.raises(ValidationError, match="d must be"):
         _rate_config(d=0, t_grid=(1,))
     for tau in (0.0, 1.0, -0.3, 1.5, math.nan):
@@ -137,7 +141,7 @@ def test_config_validation():
             _rate_config(c_lepski=c_lepski)
     with pytest.raises(ValidationError, match="case B needs d >= 21"):
         _rate_config(case=MeanCase.CASE_B, d=20)
-    assert _rate_config(case=MeanCase.CASE_B, d=21).d == 21
+    assert _rate_config(study="sweep", case=MeanCase.CASE_B, d=21, n_grid=(20,)).d == 21
     for t_star in (0, 21):
         with pytest.raises(ValidationError, match=r"t_star must lie in \[1, 20\]"):
             _rate_config(t_star=t_star)
@@ -152,7 +156,8 @@ def test_config_rejects_bad_subsampling():
             _rate_config(frac=frac)
     # Only the selection study subsamples, so only it needs 4 rows per subsample.
     with pytest.raises(ValidationError, match="too small"):
-        run_selection_comparison(_case_b_config(frac=0.15))  # 3 rows of 20
+        _case_b_config(frac=0.15)  # 3 rows of 20
+    assert _case_b_config(study="sweep", frac=0.15).frac == 0.15
     assert len(run_selection_comparison(_case_b_config(trials=1, frac=0.2)).n) == 3  # 4 rows
     assert len(run_rate_study(_rate_config(trials=1, n_grid=(4, 20), tau=0.25)).n) == 2
 
@@ -202,6 +207,7 @@ def test_regression_study_recovers_power_laws():
 
 def _case_b_config(**overrides):
     base = dict(
+        study="selection",
         base_seed=9,
         trials=4,
         n_grid=(20,),
@@ -219,7 +225,7 @@ def _case_b_config(**overrides):
 
 
 def test_sweep_study_deterministic_and_repeatable():
-    config = _case_b_config(trials=5)
+    config = _case_b_config(study="sweep", trials=5)
     r1 = run_t_sweep_study(config, workers=1)
     r2 = run_t_sweep_study(config, workers=2)
     assert same_records(r1, r2)
@@ -229,7 +235,12 @@ def test_sweep_study_deterministic_and_repeatable():
 
 
 def test_sweep_study_requires_case_means():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="T sweep requires case A or case B means"):
+        _rate_config(study="sweep", n_grid=(20,))
+    with pytest.raises(ValidationError, match="T sweep uses a single sample size"):
+        _case_b_config(study="sweep", n_grid=(20, 40))
+    # A runner runs only the study its config names.
+    with pytest.raises(ValidationError, match="study='rate'"):
         run_t_sweep_study(_rate_config())
 
 
@@ -237,6 +248,7 @@ def test_case_a_favors_small_truncation():
     # Qualitative check: a handful of leading coordinates already carry
     # essentially all of the contrast, and using all of them hurts.
     config = ExperimentConfig(
+        study="sweep",
         base_seed=11,
         trials=150,
         n_grid=(100,),
@@ -266,10 +278,33 @@ def test_selection_comparison_deterministic_across_workers():
 
 
 def test_selection_comparison_validation():
-    with pytest.raises(ValidationError):
-        run_selection_comparison(_case_b_config(t_star=None))
-    with pytest.raises(ValidationError):
-        run_selection_comparison(_case_b_config(case=MeanCase.CASE_A))
+    with pytest.raises(ValidationError, match="selection comparison needs t_star"):
+        _case_b_config(t_star=None)
+    with pytest.raises(ValidationError, match="selection comparison requires case B means"):
+        _case_b_config(case=MeanCase.CASE_A)
+    with pytest.raises(ValidationError, match="selection comparison uses a single sample size"):
+        _case_b_config(n_grid=(20, 40))
+    with pytest.raises(ValidationError, match="study='selection'"):
+        run_t_sweep_study(_case_b_config())
+
+
+def test_config_rejects_unknown_study_and_case():
+    message = "study must be rate | sweep | selection, got 'bogus'"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        _rate_config(study="bogus")
+    # The enum's own ValueError does not say which cases there are.
+    message = "case must be rate | caseA | caseB, got 'bogus'"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        _rate_config(case="bogus")
+    assert _rate_config(case="rate").case is MeanCase.RATE_MODEL
+
+
+def test_config_rows_name_each_record_of_a_trial():
+    assert _rate_config().rows == ((10, "fixed-T"),)
+    assert _case_b_config(study="sweep", t_grid=(3, 1, 7)).rows == (
+        (3, "fixed-T"), (1, "fixed-T"), (7, "fixed-T"),
+    )
+    assert _case_b_config().rows == ((5, "oracle"), (None, "method1"), (None, "method2"))
 
 
 def test_selection_records_share_samples_per_trial():
@@ -287,7 +322,7 @@ def test_grid_summary_matches_per_record_grouping(study):
         config = _rate_config(trials=4, n_grid=(20, 40, 60))
         result = run_rate_study(config)
     else:
-        config = _case_b_config(trials=4)
+        config = _case_b_config(study=study, trials=4)
         runner = run_t_sweep_study if study == "sweep" else run_selection_comparison
         result = runner(config)
     reference = summary_by_record(result)
@@ -300,18 +335,19 @@ def test_grid_summary_matches_per_record_grouping(study):
 def _columns_from_batches(trial_fn, config):
     # The record columns built the way the study once stored them: from the
     # list of every trial's batch, by np.tile and np.repeat, with the trials'
-    # T (and so their picks) stacked row by row.
+    # T (their picks, or else the rows' T) stacked row by row.
     batches = [trial_fn((config, n, trial)) for n in config.n_grid for trial in range(config.trials)]
-    T, tau_hat, selectors = zip(*batches)
-    rows = len(selectors[0])
-    tau_hat = np.array(tau_hat)
+    fixed_T = [t for t, _ in config.rows]
+    T = [fixed_T if picked is None else picked for picked, _ in batches]
+    tau_hat = np.array([tau_hat for _, tau_hat in batches])
+    rows = len(config.rows)
     return {
         "trial_index": np.tile(np.repeat(np.arange(config.trials), rows), len(config.n_grid)),
         "n": np.repeat(config.n_grid, config.trials * rows),
         "T": np.array(T).ravel(),
         "tau_hat": tau_hat.ravel(),
         "abs_error": np.abs(tau_hat - config.tau).ravel(),
-        "selector": np.tile(list(selectors[0]), len(batches)),
+        "selector": np.tile([tag for _, tag in config.rows], len(batches)),
     }
 
 
@@ -321,7 +357,8 @@ def test_record_columns_match_per_batch_construction(study, workers):
     if study == "rate":
         config, runner, trial_fn = _rate_config(trials=3), run_rate_study, _rate_trial
     elif study == "sweep":
-        config, runner, trial_fn = _case_b_config(trials=3), run_t_sweep_study, _sweep_trial
+        config = _case_b_config(study="sweep", trials=3)
+        runner, trial_fn = run_t_sweep_study, _sweep_trial
     else:
         config = _case_b_config(trials=4)
         runner, trial_fn = run_selection_comparison, _selection_trial
@@ -335,28 +372,25 @@ def test_record_columns_match_per_batch_construction(study, workers):
 
 
 def test_run_study_rejects_trials_with_different_rows():
-    config = _case_b_config(trials=3)
+    # The config names the rows; a trial must give one estimate for each.
+    config = _case_b_config(study="sweep", trials=3)  # 25 rows
 
-    def reordered(payload):  # trial 1 lists its selectors in another order
-        tags = ["method1", "oracle"] if payload[2] == 1 else ["oracle", "method1"]
-        return [5, 5], [0.3, 0.3], tags
+    def ragged(payload):  # trial 0 is right, trial 1 one too long
+        return None, [0.3] * (25 + payload[2])
 
-    def moved(payload):  # a fixed-T row whose T changes between trials
-        return [5 + payload[2]], [0.3], ["fixed-T"]
+    def single(payload):  # one estimate, which numpy would broadcast over every row
+        return None, [0.3]
 
-    def ragged(payload):
-        return [5] * (1 + payload[2]), [0.3] * (1 + payload[2]), ["fixed-T"] * (1 + payload[2])
-
-    for trial_fn in (reordered, moved):
-        with pytest.raises(RuntimeError, match="different"):
-            _run_study(trial_fn, config, 1)
-    with pytest.raises(ValueError):
-        _run_study(ragged, config, 1)
+    for trial_fn in (ragged, single):
+        with pytest.raises(RuntimeError, match="estimates for 25 rows"):
+            _run_study(trial_fn, "sweep", config, 1)
+    with pytest.raises(ValidationError, match="study='sweep'"):
+        _run_study(single, "selection", config, 1)
 
 
 def test_run_study_keys_picked_t_as_none():
-    # Method 1's T may change between trials; its group has no T.
+    # Method 1's and method 2's T may change between trials; their groups have no T.
     config = _case_b_config(trials=3)
-    result = _run_study(lambda payload: ([payload[2] + 1], [0.3], ["method1"]), config, 1)
-    assert list(result.summary) == [(20, None, "method1")]
-    assert result.T.tolist() == [1, 2, 3]
+    result = _run_study(lambda payload: ([5, payload[2] + 1, 7], [0.3] * 3), "selection", config, 1)
+    assert list(result.summary) == [(20, 5, "oracle"), (20, None, "method1"), (20, None, "method2")]
+    assert result.T.tolist() == [5, 1, 7, 5, 2, 7, 5, 3, 7]

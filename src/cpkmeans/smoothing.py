@@ -137,11 +137,13 @@ def method2_select(Y: SignalMatrix, n_sub: int, frac: float, seed: int) -> int:
     over n_sub sorted subsamples of floor(frac * n) rows each.
 
     The same subsamples are reused for every T; the variance is the
-    unbiased one.
+    unbiased one.  Each subset is its own ``rng.choice`` draw, since one
+    vectorised draw would take other subsets from the stream; the drawn
+    rows are sorted in one call.
     """
     m = subsample_size(Y.n, n_sub, frac)
     rng = np.random.default_rng(seed)
-    rows = np.stack([np.sort(rng.choice(Y.n, size=m, replace=False)) for _ in range(n_sub)])
+    rows = np.sort(np.stack([rng.choice(Y.n, size=m, replace=False) for _ in range(n_sub)]), axis=1)
     tau_hats = (subsample_argmins(Y.values, rows) + 2) / m
     return int(np.argmin(tau_hats.var(axis=0, ddof=1))) + 1
 

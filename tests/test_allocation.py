@@ -18,10 +18,12 @@ start-ups that differed only in the size of the environment.  So a test
 also bounds what one warm trial allocates, as tracemalloc sees it, which
 no layout changes.
 
-A last test bounds the memory of that sweep study and of writing its
+A test bounds the memory of that sweep study and of writing its
 records, as tracemalloc sees it: the result holds its grid, not one
-80,000-entry column per record field, and the writer holds one block of
-lines at a time.
+80,000-entry column per record field, the study summarises a few columns
+of that grid at a time, and the writer holds one block of lines at a
+time.  A last test checks that an ``experiment`` run never imports
+``numpy.ma``, which ``np.median`` loads (1.1 MB) only for its NaN check.
 """
 
 import mmap
@@ -154,9 +156,31 @@ print(held, study_peak, tracemalloc.get_traced_memory()[1] - held)
 
 def test_sweep_study_and_records_memory():
     # A warmed 400-trial sweep study (80,000 records) and its records.csv:
-    # about 0.73 MB held, a 2.7 MB study peak and 0.14 MB for the writer.
-    # Seven record columns of 80,000 entries would hold 5.6 MB.
+    # about 0.77 MB held, a 0.98 MB study peak and 0.14 MB for the writer.
+    # Seven record columns of 80,000 entries would hold 5.6 MB; summarising
+    # the whole grid at once, with full-grid abs errors and copies, peaked
+    # at 2.7 MB.
     held, study_peak, writer = _fresh(_MEMORY)
     assert held < 1_500_000, f"the sweep result holds {held} bytes"
-    assert study_peak < 4_000_000, f"the sweep study peaked at {study_peak} bytes"
+    assert study_peak < 1_500_000, f"the sweep study peaked at {study_peak} bytes"
     assert writer < 500_000, f"writing the records took {writer} bytes above the result"
+
+
+_MASKED = """
+import contextlib, io, sys
+from cpkmeans import cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["experiment", "--config", {config!r}, "--out", {out!r},
+                     "--trials", "3", "--workers", "1"])
+print(code, int("numpy.ma" in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("study", ["sweep", "rate", "selection"])
+def test_experiment_does_not_import_numpy_ma(tmp_path, study):
+    # np.median imports numpy.ma for its NaN check; the summaries' median does not.
+    config = Path(__file__).parent / "golden" / study / "study.cfg"
+    code, masked = _fresh(_MASKED.format(config=str(config), out=str(tmp_path)))
+    assert code == 0
+    assert not masked, f"a {study} experiment imported numpy.ma"

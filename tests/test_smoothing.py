@@ -17,6 +17,7 @@ from cpkmeans import (
     sample_case_means,
     surrogate,
 )
+from cpkmeans import smoothing
 
 
 def test_surrogate_constant_matrix_cancels():
@@ -234,6 +235,27 @@ def test_method2_matches_per_subsample_loop():
         )
         sample = generate_sample(spec, seed)
         assert method2_select(sample, 100, 0.8, seed) == method2_loop(sample.values, 100, 0.8, seed)
+
+
+def test_method2_rows_equal_per_subset_sorted_draws(monkeypatch):
+    # The subsets are drawn one rng.choice at a time and sorted in one call:
+    # the rows must equal those of sorting each draw as it is made.
+    seen = []
+    real_argmins = smoothing.subsample_argmins
+
+    def argmins(values, rows):
+        seen.append(rows)
+        return real_argmins(values, rows)
+
+    monkeypatch.setattr(smoothing, "subsample_argmins", argmins)
+    for n, n_sub, frac, seed in [(100, 100, 0.8, 7), (10, 5, 0.8, 2024), (37, 3, 0.5, 0)]:
+        sample = SignalMatrix(np.random.default_rng(seed).normal(size=(n, 3)))
+        method2_select(sample, n_sub, frac, seed)
+        rng = np.random.default_rng(seed)
+        m = int(frac * n)
+        expected = np.stack([np.sort(rng.choice(n, size=m, replace=False)) for _ in range(n_sub)])
+        assert seen[-1].dtype == expected.dtype
+        assert np.array_equal(seen[-1], expected)
 
 
 def test_method2_validation():

@@ -11,7 +11,7 @@ from cpkmeans import (
     gaussian_tail_bound,
     summarize,
 )
-from cpkmeans.stats import summarize_columns
+from cpkmeans.stats import _median, summarize_columns
 
 
 def test_gaussian_tail_bound_values():
@@ -163,3 +163,30 @@ def test_summarize_columns_equals_summarize_bit_for_bit(shape):
         for j, stats in enumerate(got):
             expected = summarize(grid[:, j])
             assert repr(stats) == repr(expected)
+
+
+def _median_cases(count, rng):
+    """Samples of ``count`` values: plain, tied, signed zeros and infinities, and NaN."""
+    cases = [
+        rng.normal(size=count),
+        np.abs(rng.integers(2, 98, size=count) / 100 - 0.3),  # a study's tied abs errors
+        rng.choice([0.0, -0.0], size=count),
+        rng.choice([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf], size=count),
+        np.full(count, np.inf),
+    ]
+    for at in sorted({0, count // 2, count - 1}):
+        for base in cases[:4]:
+            with_nan = base.copy()
+            with_nan[at] = np.nan
+            cases.append(with_nan)
+    return cases
+
+
+@pytest.mark.parametrize("count", [*range(1, 10), 400])
+def test_median_equals_np_median_bit_for_bit(count):
+    rng = np.random.default_rng(count)
+    cases = _median_cases(count, rng)
+    for values in cases:
+        assert repr(float(_median(values))) == repr(float(np.median(values))), values
+    rows = np.stack(cases)
+    assert repr(_median(rows).tolist()) == repr(np.median(rows, axis=1).tolist())

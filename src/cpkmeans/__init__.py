@@ -18,21 +18,17 @@ from .experiments import (
     MeanCase,
     StudyResult,
     derive_trial_seed,
-    run_rate_study,
     run_regression_study,
-    run_selection_comparison,
-    run_t_sweep_study,
+    run_study,
     sample_case_means,
     sample_rate_means,
 )
 from .model import (
     ModelSpec,
     SignalMatrix,
-    SobolevClass,
     gap_squared,
     generate_sample,
     rate_psi,
-    sobolev_sup,
 )
 from .smoothing import (
     estimate_adaptive,
@@ -56,11 +52,9 @@ __all__ = [
     "ValidationError",
     "ModelSpec",
     "SignalMatrix",
-    "SobolevClass",
     "generate_sample",
     "gap_squared",
     "rate_psi",
-    "sobolev_sup",
     "ChangePointFit",
     "estimate_tau",
     "sweep_estimate",
@@ -81,8 +75,6 @@ __all__ = [
     "derive_trial_seed",
     "sample_rate_means",
     "sample_case_means",
-    "run_rate_study",
+    "run_study",
     "run_regression_study",
-    "run_t_sweep_study",
-    "run_selection_comparison",
 ]

@@ -30,16 +30,17 @@ from .experiments import (
     ExperimentConfig,
     MeanCase,
     StudyResult,
-    run_rate_study,
     run_regression_study,
-    run_selection_comparison,
-    run_t_sweep_study,
+    run_study,
     sample_case_means,
 )
 from .model import ModelSpec, SignalMatrix, generate_sample
 from .smoothing import (
     C_LEPSKI, check_sigma, lepski_select, method1_select, method2_select, surrogate,
 )
+
+# studybench/replay.py still wraps these per-study names (until ROADMAP item 5).
+run_rate_study = run_t_sweep_study = run_selection_comparison = run_study
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -299,16 +300,13 @@ def _run_select_t(args) -> int:
 
 def _run_experiment(args) -> int:
     study, config, workers = _build_experiment(args)
+    result = run_study(config, workers=workers)
     if study == "rate":
-        result = run_rate_study(config, workers=workers)
-        slope_mean, slope_median = run_regression_study(result)
-        print(f"slope_mean={_fmt(slope_mean)}")
-        print(f"slope_median={_fmt(slope_median)}")
+        for name, slope in zip(("slope_mean", "slope_median"), run_regression_study(result)):
+            print(f"{name}={_fmt(slope)}")
     elif study == "sweep":
-        result = run_t_sweep_study(config, workers=workers)
         print(f"t_star={result.t_star}")
     else:
-        result = run_selection_comparison(config, workers=workers)
         for (_, _, tag), stats in result.summary.items():
             print(f"{tag}_mean={_fmt(stats.mean)}")
     # Made only once the study has run, so a run that fails, such as a rate

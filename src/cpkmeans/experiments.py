@@ -6,11 +6,12 @@ independent work units: results are bit-identical whether they run
 sequentially or on a process pool.
 
 The three studies (error against n at a fixed T, error against T, and
-the selectors against the oracle T) share one pipeline.  The config
-names its study, and so its (T, selector) rows; a trial returns one
-tau_hat per row.  ``_run_study`` writes each trial's tau_hat into one
-(trial, row) grid as it arrives and summarises each row of each n into
-one ``StudyResult``, which builds the record columns on demand.
+the selectors against the oracle T) are one pipeline.  The config names
+its study, and so its (T, selector) rows: a fixed T, the oracle T or a
+selector that picks T in every trial.  ``_trial`` fills every row of one
+trial, and ``run_study`` writes each trial's tau_hat into one (trial,
+row) grid as it arrives and summarises each row of each n into one
+``StudyResult``, which builds the record columns on demand.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -39,10 +41,8 @@ __all__ = [
     "derive_trial_seed",
     "sample_rate_means",
     "sample_case_means",
-    "run_rate_study",
+    "run_study",
     "run_regression_study",
-    "run_t_sweep_study",
-    "run_selection_comparison",
 ]
 
 _SEED_CAP = 2**63 - 1
@@ -61,6 +61,14 @@ def _check_case_d(case: MeanCase, d: int):
     # Case B draws its 20 leading coordinates apart from a non-empty tail.
     if case is MeanCase.CASE_B and d < 21:
         raise ValidationError(f"case B needs d >= 21, got {d}")
+
+
+def _integer(name: str, value) -> int:
+    # operator.index takes numpy integers and refuses floats, even integral ones.
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_distinct(name: str, grid: tuple[int, ...]):
@@ -101,8 +109,12 @@ class ExperimentConfig:
             object.__setattr__(self, "case", MeanCase(self.case))
         except ValueError:
             raise ValidationError(f"case must be rate | caseA | caseB, got {self.case!r}") from None
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
-        object.__setattr__(self, "t_grid", tuple(int(t) for t in self.t_grid))
+        for name in ("base_seed", "trials", "d", "n_sub", "t_star"):
+            if name != "t_star" or self.t_star is not None:
+                object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name in ("n_grid", "t_grid"):
+            grid = tuple(_integer(f"every {name} entry", x) for x in getattr(self, name))
+            object.__setattr__(self, name, grid)
         if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
         if self.d < 1:
@@ -121,7 +133,8 @@ class ExperimentConfig:
                 raise ValidationError(f"every n must be >= 4, got {n}")
             if abs(self.tau * n - round(self.tau * n)) > 1e-9:
                 raise ValidationError(f"tau * n must be integral, got tau={self.tau}, n={n}")
-        if not self.t_grid:
+        # The selection study's rows come from t_star, so it needs no t_grid.
+        if not self.t_grid and self.study != "selection":
             raise ValidationError("t_grid must be non-empty")
         _check_distinct("t_grid", self.t_grid)
         for t in self.t_grid:
@@ -148,7 +161,7 @@ class ExperimentConfig:
                 raise ValidationError("selection comparison needs t_star (oracle T)")
             subsample_size(self.n_grid[0], self.n_sub, self.frac)
 
-    @property
+    @functools.cached_property  # built once per config, not once per trial
     def rows(self) -> tuple[tuple[int | None, str], ...]:
         """The (T, selector) key of each record a trial makes, in order.
 
@@ -158,6 +171,10 @@ class ExperimentConfig:
         if self.study == "selection":
             return (self.t_star, "oracle"), (None, "method1"), (None, "method2")
         return tuple((t, "fixed-T") for t in self.t_grid)
+
+    @functools.cached_property
+    def _fixed_T(self) -> tuple[int, ...]:  # the T of every row that keeps its T
+        return tuple(t for t, _ in self.rows if t is not None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,16 +285,6 @@ def _case_scales(case: MeanCase, d: int) -> tuple[np.ndarray, np.ndarray]:
     return scales
 
 
-def _trial_sample(config: ExperimentConfig, trial: int, n: int, T: int, tag: str):
-    """The seeded generator and sample of one trial; every study starts here."""
-    rng = np.random.default_rng(derive_trial_seed(config.base_seed, trial, n, T, tag))
-    tm, tp = sample_case_means(config.case, config.d, rng)
-    spec = ModelSpec(
-        n=n, d=config.d, tau=config.tau, theta_minus=tm, theta_plus=tp, sigma=config.sigma
-    )
-    return rng, generate_sample(spec, int(rng.integers(0, _SEED_CAP)))
-
-
 def _run_trials(fn, payloads, workers: int):
     """The trials' batches in payload order: lazily when serial, all run before
     this returns on a pool."""
@@ -289,38 +296,46 @@ def _run_trials(fn, payloads, workers: int):
         return list(pool.map(fn, payloads, chunksize=chunk))
 
 
-# Each trial takes a (config, n, trial) payload and returns (picked_T, tau_hat):
-# one tau_hat per row of ``config.rows`` and, where the study's selectors pick
-# T, the T of every row, else None.
+_SELECTORS = {  # each selector row's pick of T from the trial's sample and generator
+    "method1": lambda sample, config, rng: method1_select(surrogate(sample)),
+    "method2": lambda sample, config, rng: method2_select(
+        sample, config.n_sub, config.frac, int(rng.integers(0, _SEED_CAP))),
+}
 
 
-def _rate_trial(payload):
+def _trial(payload):
+    """One trial from a (config, n, trial) payload: (picked_T, tau_hat).
+
+    The sample is drawn with the study's seed key, then each selector row
+    picks its T in row order, so method 2 draws its seed right after the
+    sample.  ``tau_hat`` has one entry per row of ``config.rows``;
+    ``picked_T`` is every row's T where a selector picks T, else None.
+    With several fixed rows, every row is read off one ``sweep_estimate``
+    table, which ``estimate_tau`` reproduces bit for bit.
+    """
     config, n, trial = payload
-    t_fixed = config.t_grid[0]
-    _, sample = _trial_sample(config, trial, n, t_fixed, "fixed-T")
-    return None, [estimate_tau(sample, t_fixed).tau_hat]
+    rows, fixed = config.rows, config._fixed_T
+    key = (config.t_grid[0], "fixed-T") if config.study == "rate" else (0, config.study)
+    rng = np.random.default_rng(derive_trial_seed(config.base_seed, trial, n, *key))
+    tm, tp = sample_case_means(config.case, config.d, rng)
+    spec = ModelSpec(n=n, d=config.d, tau=config.tau, theta_minus=tm, theta_plus=tp,
+                     sigma=config.sigma)
+    sample = generate_sample(spec, int(rng.integers(0, _SEED_CAP)))
+    picked = None if len(fixed) == len(rows) else [
+        t if t is not None else _SELECTORS[tag](sample, config, rng) for t, tag in rows]
+    T = picked or fixed
+    if len(fixed) > 1:
+        return picked, sweep_estimate(sample, T)[0] / n
+    return picked, [estimate_tau(sample, t).tau_hat for t in T]
 
 
-def _sweep_trial(payload):
-    config, n, trial = payload
-    _, sample = _trial_sample(config, trial, n, 0, "sweep")
-    k_hat, _ = sweep_estimate(sample, config.t_grid)
-    return None, k_hat / n
+# studybench/replay.py times each study's trials by rebinding these names,
+# so run_study looks them up on every call (until ROADMAP item 5).
+_rate_trial = _sweep_trial = _selection_trial = _trial
 
 
-def _selection_trial(payload):
-    config, n, trial = payload
-    rng, sample = _trial_sample(config, trial, n, 0, "selection")
-    T = [
-        config.t_star,
-        method1_select(surrogate(sample)),
-        method2_select(sample, config.n_sub, config.frac, int(rng.integers(0, _SEED_CAP))),
-    ]
-    return T, [estimate_tau(sample, t).tau_hat for t in T]
-
-
-def _run_study(trial_fn, study: str, config: ExperimentConfig, workers: int) -> StudyResult:
-    """Run ``config``'s trials through ``trial_fn`` into one (trial, row) grid and summarise it.
+def run_study(config: ExperimentConfig, workers: int = 1) -> StudyResult:
+    """Run ``config``'s trials into one (trial, row) grid and summarise it.
 
     Each summary group is one row's column of one n's block, in (n, row)
     order.  A block is summarised ``_SUMMARY_COLUMNS`` columns at a time,
@@ -330,10 +345,9 @@ def _run_study(trial_fn, study: str, config: ExperimentConfig, workers: int) -> 
     selector that picks T needs a T per trial; otherwise every trial shares
     the rows' T.
     """
-    if config.study != study:
-        raise ValidationError(f"the {study} study cannot run a config for study={config.study!r}")
+    trial_fn = globals()[f"_{config.study}_trial"]
     rows = config.rows
-    picked = any(t is None for t, _ in rows)
+    picked = len(config._fixed_T) < len(rows)
     payloads = [(config, n, trial) for n in config.n_grid for trial in range(config.trials)]
     grid = np.empty((len(payloads), len(rows)))
     T_grid = np.empty(grid.shape, int) if picked else np.array([[t for t, _ in rows]])
@@ -357,11 +371,6 @@ def _run_study(trial_fn, study: str, config: ExperimentConfig, workers: int) -> 
     )
 
 
-def run_rate_study(config: ExperimentConfig, workers: int = 1) -> StudyResult:
-    """Absolute estimation error at a fixed truncation level, per sample size."""
-    return _run_study(_rate_trial, "rate", config, workers)
-
-
 def run_regression_study(result: StudyResult) -> tuple[float, float]:
     """Log-log slopes of mean and median error against n; zero-error points drop out."""
     slopes = []
@@ -375,13 +384,3 @@ def run_regression_study(result: StudyResult) -> tuple[float, float]:
             raise ValidationError("fewer than 2 positive-error points; slope undefined")
         slopes.append(fit_line([p[0] for p in pts], [p[1] for p in pts])[0])
     return slopes[0], slopes[1]
-
-
-def run_t_sweep_study(config: ExperimentConfig, workers: int = 1) -> StudyResult:
-    """Error as a function of the truncation level; the result's ``t_star`` is the oracle T."""
-    return _run_study(_sweep_trial, "sweep", config, workers)
-
-
-def run_selection_comparison(config: ExperimentConfig, workers: int = 1) -> StudyResult:
-    """Oracle T* versus the two practical selectors, on the same samples."""
-    return _run_study(_selection_trial, "selection", config, workers)

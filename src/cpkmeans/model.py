@@ -3,8 +3,8 @@
 An n x d sample has rows drawn around a pre-change mean for the first
 ``change_index`` rows and around a post-change mean afterwards, with
 i.i.d. Gaussian coordinate noise of known standard deviation.  This
-module holds the generative spec, the sampler, and the gap / rate /
-smoothness functionals the estimators are judged against.
+module holds the generative spec, the sampler, and the gap and rate
+functionals the estimators are judged against.
 """
 
 from __future__ import annotations
@@ -20,11 +20,9 @@ from .errors import ValidationError
 __all__ = [
     "ModelSpec",
     "SignalMatrix",
-    "SobolevClass",
     "generate_sample",
     "gap_squared",
     "rate_psi",
-    "sobolev_sup",
 ]
 
 
@@ -124,23 +122,6 @@ class SignalMatrix:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class SobolevClass:
-    """Smoothness ball: tail energy beyond index K decays like K**(-2s)."""
-
-    s: float
-    L: float
-
-    def __post_init__(self):
-        if not self.s > 0:
-            raise ValidationError(f"s must be > 0, got {self.s}")
-        if not self.L > 0:
-            raise ValidationError(f"L must be > 0, got {self.L}")
-
-    def contains(self, theta) -> bool:
-        return sobolev_sup(theta, self.s) <= self.L**2
-
-
 def generate_sample(spec: ModelSpec, seed: int) -> SignalMatrix:
     """Draw one sample from the spec; identical (spec, seed) pairs give identical output."""
     # In place, so the draw is the only (n, d) array; IEEE addition commutes,
@@ -175,20 +156,3 @@ def rate_psi(n: int, T: int, delta_t_sq: float, sigma: float) -> float:
     base = sigma * sigma / (n * delta_t_sq)
     return base * max(1.0, base * T)
 
-
-def sobolev_sup(theta, s: float) -> float:
-    """max over K of K**(2s) times the tail energy of theta from index K on.
-
-    The vector is treated as zero-padded beyond its length, so the max
-    runs over K in {1, ..., len(theta)}; an empty vector gives 0.
-    """
-    if not s > 0:
-        raise ValidationError(f"s must be > 0, got {s}")
-    arr = np.asarray(theta, dtype=np.float64).ravel()
-    if arr.size == 0:
-        return 0.0
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("theta must be finite")
-    tails = np.cumsum((arr * arr)[::-1])[::-1]
-    k = np.arange(1, arr.size + 1, dtype=np.float64)
-    return float(np.max(k ** (2.0 * s) * tails))

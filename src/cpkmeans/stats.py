@@ -76,17 +76,7 @@ def summarize(values) -> SummaryStats:
     The median for even counts is the midpoint of the two central order
     statistics; a single value has variance 0.
     """
-    arr = np.asarray(values, dtype=np.float64).ravel()
-    if arr.size == 0:
-        raise ValidationError("cannot summarize an empty sample")
-    variance = float(arr.var(ddof=1)) if arr.size > 1 else 0.0
-    return SummaryStats(
-        mean=float(arr.mean()),
-        median=float(_median(arr)),
-        variance=variance,
-        std_dev=math.sqrt(variance),
-        count=int(arr.size),
-    )
+    return summarize_columns(np.asarray(values, dtype=np.float64).reshape(-1, 1))[0]
 
 
 def _median(rows: np.ndarray):
@@ -107,21 +97,21 @@ def _median(rows: np.ndarray):
 
 
 def summarize_columns(grid) -> list[SummaryStats]:
-    """``summarize`` of each column of a 2-D array, equal to it bit for bit.
+    """``summarize`` of each column of a 2-D array.
 
     The columns are copied into the rows of one C-ordered block, so each
     statistic is one numpy call along its rows, which sums and partitions
-    each row as ``summarize`` does its contiguous copy of the column.  The
-    median is ``_median``'s, so no ``numpy.ma`` is loaded.  The block, and
-    the median's partitioned copy of it, are as large as the grid, so a
+    each row as a contiguous 1-D array would be.  The median is
+    ``_median``'s, so no ``numpy.ma`` is loaded.  The block, and the
+    median's partitioned copy of it, are as large as the grid, so a
     caller bounds the memory by passing a few columns at a time: each
     column's stats do not depend on the others.
     """
     rows = np.array(np.asarray(grid, dtype=np.float64).T, order="C")
     count = rows.shape[1]
-    if count < 2:
-        return [summarize(row) for row in rows]
-    variances = rows.var(axis=1, ddof=1).tolist()
+    if count == 0:
+        raise ValidationError("cannot summarize an empty sample")
+    variances = rows.var(axis=1, ddof=1).tolist() if count > 1 else [0.0] * len(rows)
     return [
         SummaryStats(mean=mean, median=median, variance=variance,
                      std_dev=math.sqrt(variance), count=count)

@@ -25,10 +25,8 @@ from cpkmeans import (
     gaussian_tail_bound,
     generate_sample,
     lepski_select,
-    run_rate_study,
     run_regression_study,
-    run_selection_comparison,
-    run_t_sweep_study,
+    run_study,
 )
 from cpkmeans._kernels import objective_table
 
@@ -139,7 +137,7 @@ def test_criterion_4_rate_reproduction():
         case=MeanCase.RATE_MODEL,
         t_grid=(10,),
     )
-    slope_mean, slope_median = run_regression_study(run_rate_study(config, workers=2))
+    slope_mean, slope_median = run_regression_study(run_study(config, workers=2))
     ok = -1.45 <= slope_mean <= -0.85
     _report(
         "criterion 4", ok,
@@ -162,7 +160,7 @@ def test_criterion_5_case_b_sweep():
         case=MeanCase.CASE_B,
         t_grid=tuple(range(1, 201)),
     )
-    result = run_t_sweep_study(config, workers=2)
+    result = run_study(config, workers=2)
     per_t = {T: stats for (_, T, _), stats in result.summary.items()}
     at_star = per_t[result.t_star].mean
     at_one = per_t[1].mean
@@ -192,7 +190,7 @@ def test_criterion_6_table_reproduction():
         frac=0.8,
         t_star=30,
     )
-    result = run_selection_comparison(config, workers=2)
+    result = run_study(config, workers=2)
     per_selector = {tag: stats for (_, _, tag), stats in result.summary.items()}
     got = {tag: stats.mean for tag, stats in per_selector.items()}
     reference = {"oracle": 0.1524, "method1": 0.2207, "method2": 0.2047}
@@ -276,18 +274,18 @@ def test_criterion_8_invariance_suite():
         study="rate", base_seed=BASE_SEED, trials=8, n_grid=(20, 40), d=20, sigma=1.0, tau=0.3,
         case=MeanCase.RATE_MODEL, t_grid=(10,),
     )
-    assert same_records(run_rate_study(rate_cfg, workers=1), run_rate_study(rate_cfg, workers=2))
+    assert same_records(run_study(rate_cfg, workers=1), run_study(rate_cfg, workers=2))
     sweep_cfg = ExperimentConfig(
         study="sweep", base_seed=BASE_SEED, trials=4, n_grid=(20,), d=25, sigma=1.0, tau=0.3,
         case=MeanCase.CASE_B, t_grid=tuple(range(1, 26)), n_sub=5, t_star=5,
     )
     assert same_records(
-        run_t_sweep_study(sweep_cfg, workers=1), run_t_sweep_study(sweep_cfg, workers=2)
+        run_study(sweep_cfg, workers=1), run_study(sweep_cfg, workers=2)
     )
     selection_cfg = dataclasses.replace(sweep_cfg, study="selection")
     assert same_records(
-        run_selection_comparison(selection_cfg, workers=1),
-        run_selection_comparison(selection_cfg, workers=2),
+        run_study(selection_cfg, workers=1),
+        run_study(selection_cfg, workers=2),
     )
     _report(
         "criterion 8", True,

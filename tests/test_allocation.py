@@ -57,7 +57,7 @@ needs_fault_counts = pytest.mark.skipif(
 )
 
 _PRELUDE = """
-from cpkmeans.experiments import ExperimentConfig, run_rate_study, run_t_sweep_study
+from cpkmeans.experiments import ExperimentConfig, run_study
 
 def config(trials, **kw):
     return ExperimentConfig(base_seed=1, trials=trials, sigma=1.0, tau=0.3, **kw)
@@ -95,14 +95,14 @@ def _warm_faults(warm: str, run: str) -> int:
 @needs_fault_counts
 def test_warm_sweep_study_faults():
     # The sweep workload's shape: 400 trials of 100 x 200, a table and 200 fits each.
-    faults = _warm_faults("run_t_sweep_study(sweep(20))", "run_t_sweep_study(sweep(400))")
+    faults = _warm_faults("run_study(sweep(20))", "run_study(sweep(400))")
     assert faults < 1_500, f"{faults} minor faults for 400 warm sweep trials"
 
 
 @needs_fault_counts
 def test_warm_rate_trials_faults():
     # The rate workload's largest sample: 100 fixed-T fits at n = 4000, d = 20.
-    rate = ("run_rate_study(config(100, study='rate', n_grid=(4000,), d=20, case='rate',"
+    rate = ("run_study(config(100, study='rate', n_grid=(4000,), d=20, case='rate',"
             " t_grid=(10,)))")
     faults = _warm_faults(rate, rate)
     assert faults < 1_000, f"{faults} minor faults for 100 warm rate trials at n = 4000"
@@ -114,11 +114,11 @@ def _config(trials, **kw):
 
 @pytest.mark.parametrize("trial, config, bound", [
     # One fresh 160 KB sample or table would take a sweep trial past 299 KB.
-    (experiments._sweep_trial,
+    (experiments._trial,
      _config(3, study="sweep", n_grid=(100,), d=200, case="caseB", t_grid=range(1, 201)),
      250_000),
     # One fresh 640 KB sample would take a rate trial past 640 KB.
-    (experiments._rate_trial,
+    (experiments._trial,
      _config(3, study="rate", n_grid=(4000,), d=20, case="rate", t_grid=(10,)), 400_000),
 ], ids=["sweep", "rate"])
 def test_warm_trials_allocate_no_sample_or_table(trial, config, bound):
@@ -144,9 +144,9 @@ _MEMORY = """
 import os, tracemalloc
 from cpkmeans import cli
 
-cli._write_records(os.devnull, 0.3, run_t_sweep_study(sweep(20)))
+cli._write_records(os.devnull, 0.3, run_study(sweep(20)))
 tracemalloc.start()
-result = run_t_sweep_study(sweep(400))
+result = run_study(sweep(400))
 held, study_peak = tracemalloc.get_traced_memory()
 tracemalloc.reset_peak()
 cli._write_records(os.devnull, 0.3, result)

@@ -22,7 +22,7 @@ from cpkmeans.cli import (
     run,
     write_matrix_csv,
 )
-from cpkmeans.experiments import ExperimentConfig, run_selection_comparison, run_t_sweep_study
+from cpkmeans.experiments import ExperimentConfig, run_study
 
 
 def test_parse_estimate_invocation():
@@ -414,6 +414,21 @@ def test_experiment_sweep_config_range_syntax(tmp_path, capsys):
     assert len(rows) == 1 + 25
 
 
+def test_experiment_selection_config_needs_no_t_grid(tmp_path, capsys):
+    text = ("study=selection\ncase=caseB\nbase_seed=2\ntrials=2\nn_grid=20\nd=25\n"
+            "sigma=1.0\ntau=0.3\nt_star=5\nn_sub=6\n")
+    outputs = []
+    for name, extra in (("plain", ""), ("grid", "t_grid=1:25\n")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text + extra)
+        out = tmp_path / name
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        outputs.append([capsys.readouterr().out] + [
+            (out / f).read_bytes() for f in ("records.csv", "summary.csv")])
+    assert "oracle_mean=" in outputs[0][0]
+    assert outputs[0] == outputs[1]
+
+
 def _write_records_per_row(path, tau, result):
     # The plain writer: every float formatted where it is written.
     with open(path, "w", newline="") as fh:
@@ -432,8 +447,7 @@ def test_write_records_matches_per_row_writer(tmp_path, study):
         study=study, base_seed=4, trials=3, n_grid=(20,), d=25, sigma=1.0, tau=0.3, case="caseB",
         t_grid=tuple(range(1, 26)), n_sub=6, t_star=5,
     )
-    runner = run_t_sweep_study if study == "sweep" else run_selection_comparison
-    result = runner(config)
+    result = run_study(config)
     assert len(result.n) == (75 if study == "sweep" else 9)
     _write_records(tmp_path / "fast.csv", config.tau, result)
     _write_records_per_row(tmp_path / "plain.csv", config.tau, result)
@@ -446,7 +460,7 @@ def test_write_records_in_small_chunks_matches_per_row_writer(tmp_path, monkeypa
         study="sweep", base_seed=4, trials=3, n_grid=(20,), d=25, sigma=1.0, tau=0.3, case="caseB",
         t_grid=tuple(range(1, 26)),
     )
-    result = run_t_sweep_study(config)
+    result = run_study(config)
     monkeypatch.setattr(cli, "_RECORD_CHUNK", 4)
     _write_records(tmp_path / "chunked.csv", config.tau, result)
     _write_records_per_row(tmp_path / "plain.csv", config.tau, result)

@@ -11,15 +11,13 @@ from cpkmeans import (
     SummaryStats,
     ValidationError,
     derive_trial_seed,
-    run_rate_study,
     run_regression_study,
-    run_selection_comparison,
-    run_t_sweep_study,
+    run_study,
     sample_case_means,
     sample_rate_means,
 )
 
-from cpkmeans.experiments import _rate_trial, _run_study, _selection_trial, _sweep_trial
+from cpkmeans import experiments
 from helpers import same_records, summary_by_record
 
 
@@ -146,6 +144,30 @@ def test_config_validation():
         with pytest.raises(ValidationError, match=r"t_star must lie in \[1, 20\]"):
             _rate_config(t_star=t_star)
     assert _rate_config(t_star=20).t_star == 20
+    # Integer fields refuse floats when built, rather than truncating them or
+    # failing inside a trial; numpy integers are integers.
+    for field, value in [("trials", 2.5), ("d", 30.5), ("base_seed", 1.5), ("n_sub", 50.5),
+                         ("t_star", 5.0), ("n_grid", (20.5,)), ("t_grid", (1.7, 5)),
+                         ("n_grid", (20.0,)), ("trials", np.float64(2.0))]:
+        with pytest.raises(ValidationError, match="must be an integer"):
+            _rate_config(**{field: value})
+    config = _rate_config(trials=np.int64(2), base_seed=np.uint8(5), n_grid=np.array([20, 40]),
+                          t_star=np.int32(3))
+    assert (config.trials, config.base_seed, config.n_grid, config.t_star) == (2, 5, (20, 40), 3)
+    assert type(config.trials) is int and type(config.n_grid[0]) is int
+
+
+def test_only_selection_runs_without_a_t_grid():
+    # The selection study's rows come from t_star; a given t_grid is still range-checked.
+    config = _case_b_config(trials=2, t_grid=())
+    assert config.rows == ((5, "oracle"), (None, "method1"), (None, "method2"))
+    assert same_records(run_study(config), run_study(_case_b_config(trials=2)))
+    with pytest.raises(ValidationError, match=r"every T must lie in \[1, 25\]"):
+        _case_b_config(t_grid=(0, 5))
+    for study in ("rate", "sweep"):
+        with pytest.raises(ValidationError, match="t_grid must be non-empty"):
+            _case_b_config(study=study, case=MeanCase.RATE_MODEL if study == "rate" else "caseB",
+                           t_grid=())
 
 
 def test_config_rejects_bad_subsampling():
@@ -158,26 +180,26 @@ def test_config_rejects_bad_subsampling():
     with pytest.raises(ValidationError, match="too small"):
         _case_b_config(frac=0.15)  # 3 rows of 20
     assert _case_b_config(study="sweep", frac=0.15).frac == 0.15
-    assert len(run_selection_comparison(_case_b_config(trials=1, frac=0.2)).n) == 3  # 4 rows
-    assert len(run_rate_study(_rate_config(trials=1, n_grid=(4, 20), tau=0.25)).n) == 2
+    assert len(run_study(_case_b_config(trials=1, frac=0.2)).n) == 3  # 4 rows
+    assert len(run_study(_rate_config(trials=1, n_grid=(4, 20), tau=0.25)).n) == 2
 
 
 def test_rate_study_zero_noise():
-    result = run_rate_study(_rate_config(trials=1, sigma=0.0))
+    result = run_study(_rate_config(trials=1, sigma=0.0))
     assert all(stats.mean == 0.0 for stats in result.summary.values())
     assert np.all(result.abs_error == 0.0)
 
 
 def test_rate_study_deterministic_across_workers():
     config = _rate_config(trials=6)
-    r1 = run_rate_study(config, workers=1)
-    r2 = run_rate_study(config, workers=2)
+    r1 = run_study(config, workers=1)
+    r2 = run_study(config, workers=2)
     assert same_records(r1, r2)
     assert r1.summary == r2.summary
 
 
 def test_trial_records_stay_in_range():
-    result = run_rate_study(_rate_config(trials=8))
+    result = run_study(_rate_config(trials=8))
     assert np.all((0.0 <= result.abs_error) & (result.abs_error <= 1.0 - 2.0 / result.n))
 
 
@@ -226,11 +248,11 @@ def _case_b_config(**overrides):
 
 def test_sweep_study_deterministic_and_repeatable():
     config = _case_b_config(study="sweep", trials=5)
-    r1 = run_t_sweep_study(config, workers=1)
-    r2 = run_t_sweep_study(config, workers=2)
+    r1 = run_study(config, workers=1)
+    r2 = run_study(config, workers=2)
     assert same_records(r1, r2)
     assert r1.t_star == r2.t_star
-    again = run_t_sweep_study(config, workers=1)
+    again = run_study(config, workers=1)
     assert same_records(again, r1)
 
 
@@ -239,9 +261,6 @@ def test_sweep_study_requires_case_means():
         _rate_config(study="sweep", n_grid=(20,))
     with pytest.raises(ValidationError, match="T sweep uses a single sample size"):
         _case_b_config(study="sweep", n_grid=(20, 40))
-    # A runner runs only the study its config names.
-    with pytest.raises(ValidationError, match="study='rate'"):
-        run_t_sweep_study(_rate_config())
 
 
 def test_case_a_favors_small_truncation():
@@ -258,22 +277,22 @@ def test_case_a_favors_small_truncation():
         case=MeanCase.CASE_A,
         t_grid=tuple(range(1, 201)),
     )
-    result = run_t_sweep_study(config, workers=2)
+    result = run_study(config, workers=2)
     assert result.t_star <= 10
     per_t = {T: stats for (_, T, _), stats in result.summary.items()}
     assert per_t[result.t_star].mean < per_t[200].mean
 
 
 def test_selection_comparison_zero_noise():
-    result = run_selection_comparison(_case_b_config(trials=3, sigma=0.0))
+    result = run_study(_case_b_config(trials=3, sigma=0.0))
     for stats in result.summary.values():
         assert stats.mean == 0.0
 
 
 def test_selection_comparison_deterministic_across_workers():
     config = _case_b_config(trials=4)
-    r1 = run_selection_comparison(config, workers=1)
-    r2 = run_selection_comparison(config, workers=2)
+    r1 = run_study(config, workers=1)
+    r2 = run_study(config, workers=2)
     assert same_records(r1, r2)
 
 
@@ -284,8 +303,6 @@ def test_selection_comparison_validation():
         _case_b_config(case=MeanCase.CASE_A)
     with pytest.raises(ValidationError, match="selection comparison uses a single sample size"):
         _case_b_config(n_grid=(20, 40))
-    with pytest.raises(ValidationError, match="study='selection'"):
-        run_t_sweep_study(_case_b_config())
 
 
 def test_config_rejects_unknown_study_and_case():
@@ -308,7 +325,7 @@ def test_config_rows_name_each_record_of_a_trial():
 
 
 def test_selection_records_share_samples_per_trial():
-    result = run_selection_comparison(_case_b_config(trials=3))
+    result = run_study(_case_b_config(trials=3))
     by_trial = {}
     for trial, selector in zip(result.trial_index.tolist(), result.selector.tolist()):
         by_trial.setdefault(trial, []).append(selector)
@@ -320,11 +337,10 @@ def test_grid_summary_matches_per_record_grouping(study):
     # Two sample sizes on the rate study; one (trial, row) grid per n.
     if study == "rate":
         config = _rate_config(trials=4, n_grid=(20, 40, 60))
-        result = run_rate_study(config)
+        result = run_study(config)
     else:
         config = _case_b_config(study=study, trials=4)
-        runner = run_t_sweep_study if study == "sweep" else run_selection_comparison
-        result = runner(config)
+        result = run_study(config)
     reference = summary_by_record(result)
     assert list(result.summary.items()) == list(reference.items())
     rows = {"rate": 1, "sweep": 25, "selection": 3}[study]
@@ -332,11 +348,14 @@ def test_grid_summary_matches_per_record_grouping(study):
     assert len(result.n) == len(config.n_grid) * config.trials * rows
 
 
-def _columns_from_batches(trial_fn, config):
+def _columns_from_batches(config):
     # The record columns built the way the study once stored them: from the
     # list of every trial's batch, by np.tile and np.repeat, with the trials'
     # T (their picks, or else the rows' T) stacked row by row.
-    batches = [trial_fn((config, n, trial)) for n in config.n_grid for trial in range(config.trials)]
+    batches = [
+        experiments._trial((config, n, trial))
+        for n in config.n_grid for trial in range(config.trials)
+    ]
     fixed_T = [t for t, _ in config.rows]
     T = [fixed_T if picked is None else picked for picked, _ in batches]
     tau_hat = np.array([tau_hat for _, tau_hat in batches])
@@ -355,15 +374,11 @@ def _columns_from_batches(trial_fn, config):
 @pytest.mark.parametrize("study", ["rate", "sweep", "selection"])
 def test_record_columns_match_per_batch_construction(study, workers):
     if study == "rate":
-        config, runner, trial_fn = _rate_config(trials=3), run_rate_study, _rate_trial
-    elif study == "sweep":
-        config = _case_b_config(study="sweep", trials=3)
-        runner, trial_fn = run_t_sweep_study, _sweep_trial
+        config = _rate_config(trials=3)
     else:
-        config = _case_b_config(trials=4)
-        runner, trial_fn = run_selection_comparison, _selection_trial
-    result = runner(config, workers=workers)
-    for name, expected in _columns_from_batches(trial_fn, config).items():
+        config = _case_b_config(study=study, trials=3 if study == "sweep" else 4)
+    result = run_study(config, workers=workers)
+    for name, expected in _columns_from_batches(config).items():
         column = getattr(result, name)
         assert column.dtype == expected.dtype, name
         assert np.array_equal(column, expected), name
@@ -371,7 +386,7 @@ def test_record_columns_match_per_batch_construction(study, workers):
         assert len(set(result.T[result.selector == "method2"].tolist())) > 1
 
 
-def test_run_study_rejects_trials_with_different_rows():
+def test_run_study_rejects_trials_with_different_rows(monkeypatch):
     # The config names the rows; a trial must give one estimate for each.
     config = _case_b_config(study="sweep", trials=3)  # 25 rows
 
@@ -382,15 +397,17 @@ def test_run_study_rejects_trials_with_different_rows():
         return None, [0.3]
 
     for trial_fn in (ragged, single):
+        monkeypatch.setattr(experiments, "_sweep_trial", trial_fn)
         with pytest.raises(RuntimeError, match="estimates for 25 rows"):
-            _run_study(trial_fn, "sweep", config, 1)
-    with pytest.raises(ValidationError, match="study='sweep'"):
-        _run_study(single, "selection", config, 1)
+            run_study(config)
 
 
-def test_run_study_keys_picked_t_as_none():
+def test_run_study_keys_picked_t_as_none(monkeypatch):
     # Method 1's and method 2's T may change between trials; their groups have no T.
     config = _case_b_config(trials=3)
-    result = _run_study(lambda payload: ([5, payload[2] + 1, 7], [0.3] * 3), "selection", config, 1)
+    monkeypatch.setattr(
+        experiments, "_selection_trial", lambda payload: ([5, payload[2] + 1, 7], [0.3] * 3)
+    )
+    result = run_study(config)
     assert list(result.summary) == [(20, 5, "oracle"), (20, None, "method1"), (20, None, "method2")]
     assert result.T.tolist() == [5, 1, 7, 5, 2, 7, 5, 3, 7]

@@ -6,12 +6,10 @@ import pytest
 from cpkmeans import (
     ModelSpec,
     SignalMatrix,
-    SobolevClass,
     ValidationError,
     gap_squared,
     generate_sample,
     rate_psi,
-    sobolev_sup,
 )
 
 from helpers import generate_sample_reference
@@ -153,50 +151,6 @@ def test_rate_psi_examples():
         rate_psi(0, 1, 1.0, 1.0)
     with pytest.raises(ValidationError):
         rate_psi(10, 1, -1.0, 1.0)
-
-
-def _sobolev_sup_direct(theta, s):
-    theta = np.asarray(theta, dtype=float)
-    best = 0.0
-    for K in range(1, theta.size + 1):
-        best = max(best, K ** (2 * s) * float(np.sum(theta[K - 1 :] ** 2)))
-    return best
-
-
-def test_sobolev_sup_examples():
-    for s in (0.5, 1.0, 2.0):
-        assert sobolev_sup([1, 0, 0], s) == 1.0
-    assert sobolev_sup([0, 0, 0], 1.0) == 0.0
-    assert sobolev_sup([], 1.0) == 0.0
-    assert sobolev_sup([0, 1], 1.0) == pytest.approx(4.0)  # K=2 beats K=1
-
-
-def test_sobolev_sup_matches_enumeration():
-    rng = np.random.default_rng(2)
-    for _ in range(30):
-        d = int(rng.integers(1, 15))
-        theta = rng.normal(size=d)
-        s = float(rng.uniform(0.2, 3.0))
-        assert sobolev_sup(theta, s) == pytest.approx(_sobolev_sup_direct(theta, s), rel=1e-12)
-
-
-def test_sobolev_sup_homogeneity():
-    rng = np.random.default_rng(3)
-    theta = rng.normal(size=9)
-    for c in (0.5, 2.0, -3.0):
-        assert sobolev_sup(c * theta, 1.3) == pytest.approx(
-            c * c * sobolev_sup(theta, 1.3), rel=1e-12
-        )
-
-
-def test_sobolev_class_membership():
-    ball = SobolevClass(s=1.0, L=2.0)
-    assert ball.contains([0, 1])  # sup is 4 == L^2
-    assert not ball.contains([0, 2.1])
-    with pytest.raises(ValidationError):
-        SobolevClass(s=0.0, L=1.0)
-    with pytest.raises(ValidationError):
-        SobolevClass(s=1.0, L=0.0)
 
 
 def test_a_new_sample_never_overwrites_a_live_one():

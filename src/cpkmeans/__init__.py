@@ -18,6 +18,7 @@ from .experiments import (
     MeanCase,
     StudyResult,
     derive_trial_seed,
+    draw_sample,
     run_regression_study,
     run_study,
     sample_case_means,
@@ -75,6 +76,7 @@ __all__ = [
     "derive_trial_seed",
     "sample_rate_means",
     "sample_case_means",
+    "draw_sample",
     "run_study",
     "run_regression_study",
 ]

@@ -26,18 +26,14 @@ import numpy as np
 from .errors import ValidationError
 from .estimator import estimate_tau
 from .experiments import (
-    _SEED_CAP,
     ExperimentConfig,
-    MeanCase,
     StudyResult,
+    draw_sample,
     run_regression_study,
     run_study,
-    sample_case_means,
 )
-from .model import ModelSpec, SignalMatrix, generate_sample
-from .smoothing import (
-    C_LEPSKI, check_sigma, lepski_select, method1_select, method2_select, surrogate,
-)
+from .model import ModelSpec, SignalMatrix, check_sigma, generate_sample
+from .smoothing import C_LEPSKI, lepski_select, method1_select, method2_select, surrogate
 
 # studybench/replay.py still wraps these per-study names (until ROADMAP item 5).
 run_rate_study = run_t_sweep_study = run_selection_comparison = run_study
@@ -117,18 +113,6 @@ def read_matrix_csv(path) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def _load_means(args):
-    if args.means in ("rate", "caseA", "caseB"):
-        rng = np.random.default_rng(args.seed)
-        tm, tp = sample_case_means(MeanCase(args.means), args.d, rng)
-        noise_seed = int(rng.integers(0, _SEED_CAP))
-        return tm, tp, noise_seed
-    means = read_matrix_csv(args.means)
-    if means.shape[0] != 2:
-        raise ValidationError(f"means file must have exactly 2 rows, got {means.shape[0]}")
-    return means[0], means[1], args.seed
-
-
 def _parse_int_list(text: str) -> tuple[int, ...]:
     text = text.strip()
     if ":" in text:
@@ -162,7 +146,7 @@ _CONFIG_KEYS = {
     "n_sub": int, "frac": float, "c_lepski": float,
 }
 _CONFIG_DEFAULTS = {
-    "study": "", "case": "rate", "base_seed": 0, "trials": 1, "n_grid": (), "d": 0,
+    "study": "", "case": "", "base_seed": 0, "trials": 1, "n_grid": (), "d": 0,
     "sigma": 1.0, "tau": 0.5, "t_grid": (),
 }
 
@@ -262,11 +246,16 @@ def _write_summary(path, config, result: StudyResult):
 
 
 def _run_simulate(args) -> int:
-    tm, tp, noise_seed = _load_means(args)
-    spec = ModelSpec(
-        n=args.n, d=args.d, tau=args.tau, theta_minus=tm, theta_plus=tp, sigma=args.sigma
-    )
-    sample = generate_sample(spec, noise_seed)
+    if args.means in ("rate", "caseA", "caseB"):
+        sample = draw_sample(args.means, args.n, args.d, args.tau, args.sigma,
+                             np.random.default_rng(args.seed))
+    else:
+        means = read_matrix_csv(args.means)
+        if means.shape[0] != 2:
+            raise ValidationError(f"means file must have exactly 2 rows, got {means.shape[0]}")
+        spec = ModelSpec(n=args.n, d=args.d, tau=args.tau, theta_minus=means[0],
+                         theta_plus=means[1], sigma=args.sigma)
+        sample = generate_sample(spec, args.seed)
     write_matrix_csv(args.out, sample.values)
     return EXIT_OK
 

@@ -1,17 +1,21 @@
 """Seed-deterministic Monte Carlo studies.
 
-Each study draws fresh segment means and fresh noise per trial, keyed by
-a seed derived from (base_seed, trial, n, T, tag), so trials are
-independent work units: results are bit-identical whether they run
-sequentially or on a process pool.
+Each trial draws fresh segment means and fresh noise with
+``draw_sample``, from a generator seeded by (base_seed, trial, n, T,
+tag), so trials are independent work units: results are bit-identical
+whether they run sequentially or on a process pool.  The three mean
+cases (the rate model, case A and case B) are one table of coordinate
+sds per (case, d) and one sampler, ``sample_case_means``, and
+``cli simulate`` draws through the same ``draw_sample``.
 
 The three studies (error against n at a fixed T, error against T, and
-the selectors against the oracle T) are one pipeline.  The config names
-its study, and so its (T, selector) rows: a fixed T, the oracle T or a
-selector that picks T in every trial.  ``_trial`` fills every row of one
-trial, and ``run_study`` writes each trial's tau_hat into one (trial,
-row) grid as it arrives and summarises each row of each n into one
-``StudyResult``, which builds the record columns on demand.
+the selectors against the oracle T) are one pipeline, and each runs on
+any case.  The config names its study, and so its (T, selector) rows: a
+fixed T, the oracle T or a selector that picks T in every trial.
+``_trial`` fills every row of one trial, and ``run_study`` writes each
+trial's tau_hat into one (trial, row) grid as it arrives and summarises
+each row of each n into one ``StudyResult``, which builds the record
+columns on demand.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -27,10 +30,10 @@ import numpy as np
 
 from .errors import ValidationError
 from .estimator import estimate_tau, sweep_estimate
-from .model import ModelSpec, generate_sample
+from .model import ModelSpec, SignalMatrix, _integer, check_sigma, generate_sample
 from .smoothing import (
-    C_LEPSKI, check_c_lepski, check_sigma, check_subsampling, method1_select, method2_select,
-    subsample_size, surrogate,
+    C_LEPSKI, check_c_lepski, check_subsampling, method1_select, method2_select, subsample_size,
+    surrogate,
 )
 from .stats import SummaryStats, fit_line, summarize_columns
 
@@ -41,6 +44,7 @@ __all__ = [
     "derive_trial_seed",
     "sample_rate_means",
     "sample_case_means",
+    "draw_sample",
     "run_study",
     "run_regression_study",
 ]
@@ -58,17 +62,11 @@ class MeanCase(str, Enum):
 
 
 def _check_case_d(case: MeanCase, d: int):
+    if d < 1:
+        raise ValidationError(f"d must be >= 1, got {d}")
     # Case B draws its 20 leading coordinates apart from a non-empty tail.
     if case is MeanCase.CASE_B and d < 21:
         raise ValidationError(f"case B needs d >= 21, got {d}")
-
-
-def _integer(name: str, value) -> int:
-    # operator.index takes numpy integers and refuses floats, even integral ones.
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_distinct(name: str, grid: tuple[int, ...]):
@@ -84,7 +82,8 @@ class ExperimentConfig:
 
     ``study`` is ``rate`` (error against n at one T), ``sweep`` (error
     against T at one n) or ``selection`` (the oracle T and the two
-    practical selectors at one n).  Construction runs every check, the
+    practical selectors at one n), and ``case`` names the means it draws;
+    every study runs on every case.  Construction runs every check, the
     study's own included, so a config that exists can be run.
     """
 
@@ -117,11 +116,9 @@ class ExperimentConfig:
             object.__setattr__(self, name, grid)
         if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
-        if self.d < 1:
-            raise ValidationError(f"d must be >= 1, got {self.d}")
+        _check_case_d(self.case, self.d)
         if not 0.0 < self.tau < 1.0:
             raise ValidationError(f"tau must lie in (0, 1), got {self.tau}")
-        _check_case_d(self.case, self.d)
         check_sigma(self.sigma)
         check_c_lepski(self.c_lepski)
         check_subsampling(self.n_sub, self.frac)
@@ -143,18 +140,12 @@ class ExperimentConfig:
         if self.t_star is not None and not 1 <= self.t_star <= self.d:
             raise ValidationError(f"t_star must lie in [1, {self.d}], got {self.t_star}")
         if self.study == "rate":
-            if self.case is not MeanCase.RATE_MODEL:
-                raise ValidationError("rate study requires the rate-model means")
             if len(self.t_grid) != 1:
                 raise ValidationError("rate study uses a single fixed T")
         elif self.study == "sweep":
-            if self.case is MeanCase.RATE_MODEL:
-                raise ValidationError("T sweep requires case A or case B means")
             if len(self.n_grid) != 1:
                 raise ValidationError("T sweep uses a single sample size")
         else:
-            if self.case is not MeanCase.CASE_B:
-                raise ValidationError("selection comparison requires case B means")
             if len(self.n_grid) != 1:
                 raise ValidationError("selection comparison uses a single sample size")
             if self.t_star is None:
@@ -238,51 +229,62 @@ def derive_trial_seed(base_seed: int, trial_index: int, n: int, T: int, selector
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
 
 
-def sample_rate_means(d: int, rng: np.random.Generator):
-    """Rate-model means: pre-change coordinate j ~ N(0, 1/(20 j^2)), post-change
-    centered at its negation with variance 1e-4."""
-    j = np.arange(1, d + 1, dtype=np.float64)
-    theta_minus = rng.normal(0.0, 1.0 / (math.sqrt(20.0) * j))
-    theta_plus = rng.normal(-theta_minus, 1e-2)
-    return theta_minus, theta_plus
-
-
 def sample_case_means(case: MeanCase, d: int, rng: np.random.Generator):
-    """Segment means of any case; the rate model is ``sample_rate_means``.
+    """Segment means of any case: theta_minus, then theta_plus around it.
+
+    Rate model: pre-change coordinate j ~ N(0, 1/(20 j^2)); post-change
+    centred at its negation with variance 1e-4.
 
     Case A: both means i.i.d. with coordinate variance 1/(2 j^2).
 
     Case B: 20 leading coordinates are large (variance 1/2) and nearly
-    shared between the segments (post-change recentered with sd 0.1);
-    the tail coordinates are drawn independently per segment with
+    shared between the segments (post-change recentred on them with sd
+    0.1); the tail coordinates are drawn independently per segment with
     variance 1/(2 (j - 20)^2).
     """
     case = MeanCase(case)
-    if case is MeanCase.RATE_MODEL:
-        return sample_rate_means(d, rng)
     _check_case_d(case, d)
-    scale_minus, scale_plus = _case_scales(case, d)
-    theta_minus = rng.normal(0.0, scale_minus)
-    if case is MeanCase.CASE_A:
-        return theta_minus, rng.normal(0.0, scale_plus)
-    loc_plus = np.concatenate([theta_minus[:20], np.zeros(d - 20)])
-    return theta_minus, rng.normal(loc_plus, scale_plus)
+    sd_minus, sd_plus, shared, negate = _mean_table(case, d)
+    theta_minus = rng.normal(0.0, sd_minus)
+    loc = 0.0
+    if shared:  # copied or negated, never multiplied by a 0/1 mask, which can make -0.0
+        loc = np.zeros(d)
+        loc[:shared] = -theta_minus[:shared] if negate else theta_minus[:shared]
+    return theta_minus, rng.normal(loc, sd_plus)
 
 
 @functools.lru_cache(maxsize=8)
-def _case_scales(case: MeanCase, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Case A's or case B's coordinate sds before and after the change, read-only."""
-    if case is MeanCase.CASE_A:
-        scale = 1.0 / (math.sqrt(2.0) * np.arange(1, d + 1, dtype=np.float64))
-        scales = scale, scale
+def _mean_table(case: MeanCase, d: int) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    """A case's read-only coordinate sds before and after the change, and how
+    many leading post-change locations copy theta_minus, or negate it."""
+    j = np.arange(1, d + 1, dtype=np.float64)
+    if case is MeanCase.RATE_MODEL:
+        table = 1.0 / (math.sqrt(20.0) * j), np.full(d, 1e-2), d, True
+    elif case is MeanCase.CASE_A:
+        sd = 1.0 / (math.sqrt(2.0) * j)
+        table = sd, sd, 0, False
     else:
-        tail_j = np.arange(21, d + 1, dtype=np.float64)
-        tail_scale = 1.0 / (math.sqrt(2.0) * (tail_j - 20.0))
-        scales = (np.concatenate([np.full(20, math.sqrt(0.5)), tail_scale]),
-                  np.concatenate([np.full(20, 0.1), tail_scale]))
-    for scale in scales:
+        tail = 1.0 / (math.sqrt(2.0) * (j[20:] - 20.0))
+        table = (np.concatenate([np.full(20, math.sqrt(0.5)), tail]),
+                 np.concatenate([np.full(20, 0.1), tail]), 20, False)
+    for scale in table[:2]:
         scale.flags.writeable = False
-    return scales
+    return table
+
+
+def sample_rate_means(d: int, rng: np.random.Generator):
+    """The rate model's means; ``sample_case_means`` draws them."""
+    return sample_case_means(MeanCase.RATE_MODEL, d, rng)
+
+
+def draw_sample(case: MeanCase, n: int, d: int, tau: float, sigma: float,
+                rng: np.random.Generator) -> SignalMatrix:
+    """One sample as a trial draws it: the case's means, then a noise seed
+    from the same generator, then ``generate_sample``."""
+    tm, tp = sample_case_means(case, d, rng)
+    spec = ModelSpec(n=n, d=d, tau=tau, theta_minus=tm, theta_plus=tp, sigma=sigma)
+    # The spec goes first and positionally: studybench/replay.py reads args[0].
+    return generate_sample(spec, int(rng.integers(0, _SEED_CAP)))
 
 
 def _run_trials(fn, payloads, workers: int):
@@ -317,10 +319,7 @@ def _trial(payload):
     rows, fixed = config.rows, config._fixed_T
     key = (config.t_grid[0], "fixed-T") if config.study == "rate" else (0, config.study)
     rng = np.random.default_rng(derive_trial_seed(config.base_seed, trial, n, *key))
-    tm, tp = sample_case_means(config.case, config.d, rng)
-    spec = ModelSpec(n=n, d=config.d, tau=config.tau, theta_minus=tm, theta_plus=tp,
-                     sigma=config.sigma)
-    sample = generate_sample(spec, int(rng.integers(0, _SEED_CAP)))
+    sample = draw_sample(config.case, n, config.d, config.tau, config.sigma, rng)
     picked = None if len(fixed) == len(rows) else [
         t if t is not None else _SELECTORS[tag](sample, config, rng) for t, tag in rows]
     T = picked or fixed

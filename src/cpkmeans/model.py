@@ -10,6 +10,7 @@ functionals the estimators are judged against.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,19 @@ __all__ = [
     "gap_squared",
     "rate_psi",
 ]
+
+
+def _integer(name: str, value) -> int:
+    # operator.index takes numpy integers and refuses floats, even integral ones.
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_sigma(sigma: float):
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ValidationError(f"sigma must be finite and >= 0, got {sigma}")
 
 
 def _readonly_vector(x, d: int, name: str) -> np.ndarray:
@@ -52,16 +66,15 @@ class ModelSpec:
     sigma: float
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 4:
-            raise ValidationError(f"n must be an integer >= 4, got {self.n}")
-        if int(self.d) != self.d or self.d < 1:
-            raise ValidationError(f"d must be an integer >= 1, got {self.d}")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "n", _integer("n", self.n))
+        object.__setattr__(self, "d", _integer("d", self.d))
+        if self.n < 4:
+            raise ValidationError(f"n must be >= 4, got {self.n}")
+        if self.d < 1:
+            raise ValidationError(f"d must be >= 1, got {self.d}")
         if not 0.0 < self.tau < 1.0:
             raise ValidationError(f"tau must lie in (0, 1), got {self.tau}")
-        if not self.sigma >= 0.0:
-            raise ValidationError(f"sigma must be >= 0, got {self.sigma}")
+        check_sigma(self.sigma)
         object.__setattr__(
             self, "theta_minus", _readonly_vector(self.theta_minus, self.d, "theta_minus")
         )

@@ -48,11 +48,6 @@ def check_c_lepski(c_lepski: float):
         raise ValidationError(f"c_lepski must be > 0, got {c_lepski}")
 
 
-def check_sigma(sigma: float):
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise ValidationError(f"sigma must be finite and >= 0, got {sigma}")
-
-
 def surrogate(Y: SignalMatrix) -> np.ndarray:
     """Full column mean minus (2/n) times the sum of the first floor(n/2) rows,
     read-only; each coordinate's noise variance is sigma^2 / n.

@@ -5,7 +5,8 @@ enumerates every (k, m, j) window literally, the two-regime oracle
 evaluates the split criterion segment by segment, the table reference
 is the objective table's direct (T, k) centred CUSUM formula, the
 method-2 oracle builds one full objective table per subsample, the
-sample reference adds a full means matrix to the scaled noise, and the
+means reference draws each case by its own branch, the sample reference
+adds a full means matrix to the scaled noise, and the
 summary reference groups the records one at a time in a dict, and the
 split's sum of squares comes from direct segment means.
 """
@@ -17,6 +18,7 @@ import numpy as np
 from cpkmeans._kernels import objective_table
 from cpkmeans.errors import ValidationError
 from cpkmeans.estimator import _check_t
+from cpkmeans.experiments import MeanCase
 from cpkmeans.stats import summarize
 
 
@@ -126,6 +128,22 @@ def generate_sample_reference(spec, seed: int) -> np.ndarray:
     means[:c] = spec.theta_minus
     means[c:] = spec.theta_plus
     return means + spec.sigma * rng.standard_normal((spec.n, spec.d))
+
+
+def case_means_reference(case, d: int, rng: np.random.Generator):
+    """Segment means by one branch per case, scales rebuilt on every call."""
+    case = MeanCase(case)
+    if case is MeanCase.RATE_MODEL:
+        j = np.arange(1, d + 1, dtype=np.float64)
+        theta_minus = rng.normal(0.0, 1.0 / (math.sqrt(20.0) * j))
+        return theta_minus, rng.normal(-theta_minus, 1e-2)
+    if case is MeanCase.CASE_A:
+        scale = 1.0 / (math.sqrt(2.0) * np.arange(1, d + 1, dtype=np.float64))
+        return rng.normal(0.0, scale), rng.normal(0.0, scale)
+    tail_scale = 1.0 / (math.sqrt(2.0) * (np.arange(21, d + 1, dtype=np.float64) - 20.0))
+    theta_minus = rng.normal(0.0, np.concatenate([np.full(20, math.sqrt(0.5)), tail_scale]))
+    loc_plus = np.concatenate([theta_minus[:20], np.zeros(d - 20)])
+    return theta_minus, rng.normal(loc_plus, np.concatenate([np.full(20, 0.1), tail_scale]))
 
 
 def summary_by_record(result) -> dict:

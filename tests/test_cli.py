@@ -22,7 +22,7 @@ from cpkmeans.cli import (
     run,
     write_matrix_csv,
 )
-from cpkmeans.experiments import ExperimentConfig, run_study
+from cpkmeans.experiments import ExperimentConfig, draw_sample, run_study
 
 
 def test_parse_estimate_invocation():
@@ -77,6 +77,22 @@ def test_simulate_determinism(tmp_path):
     assert main(args + ["--out", str(a)]) == EXIT_OK
     assert main(args + ["--out", str(b)]) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_simulate_draws_as_a_trial_does(tmp_path):
+    out = tmp_path / "y.csv"
+    assert main(["simulate", "--n", "20", "--d", "25", "--tau", "0.3", "--sigma", "1.0",
+                 "--means", "caseB", "--seed", "5", "--out", str(out)]) == EXIT_OK
+    sample = draw_sample("caseB", 20, 25, 0.3, 1.0, np.random.default_rng(5))
+    assert np.array_equal(read_matrix_csv(out), sample.values)
+
+
+def test_simulate_rejects_infinite_sigma(tmp_path, capsys):
+    out = tmp_path / "y.csv"
+    assert main(["simulate", "--n", "8", "--d", "3", "--tau", "0.5", "--sigma", "inf",
+                 "--means", "caseA", "--out", str(out)]) == EXIT_VALIDATION
+    assert "sigma must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_estimate_trace_output(tmp_path, capsys):
@@ -193,6 +209,16 @@ t_grid=10
 """
 
 
+def test_experiment_config_must_name_its_case(tmp_path, capsys):
+    # Every study runs on every case, so no case is implied by the study.
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text(RATE_CFG.replace("case=rate\n", ""))
+    out = tmp_path / "run"
+    assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    assert "case must be rate | caseA | caseB, got ''" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_experiment_outputs_are_deterministic(tmp_path, capsys):
     cfg = tmp_path / "rate.cfg"
     cfg.write_text(RATE_CFG)
@@ -249,7 +275,7 @@ def test_experiment_bad_subsampling_is_rejected_before_trials(tmp_path, capsys, 
         ("sweep", 10, "", "case B needs d >= 21"),
         ("selection", 25, "t_star=0", "t_star must lie in [1, 25]"),
         ("selection", 25, "t_star=26", "t_star must lie in [1, 25]"),
-        ("rate", 25, "", "rate study requires the rate-model means"),
+        ("rate", 25, "", "rate study uses a single fixed T"),
         ("selection", 25, "", "selection comparison needs t_star"),
         ("sweep", 25, "n_grid=20,40", "T sweep uses a single sample size"),
         ("selection", 25, "t_star=5 frac=0.15", "subsample of 3 rows is too small"),

@@ -7,10 +7,13 @@ import pytest
 from cpkmeans import (
     ExperimentConfig,
     MeanCase,
+    ModelSpec,
     StudyResult,
     SummaryStats,
     ValidationError,
     derive_trial_seed,
+    draw_sample,
+    generate_sample,
     run_regression_study,
     run_study,
     sample_case_means,
@@ -18,7 +21,7 @@ from cpkmeans import (
 )
 
 from cpkmeans import experiments
-from helpers import same_records, summary_by_record
+from helpers import case_means_reference, same_records, summary_by_record
 
 
 def test_derive_trial_seed_stability():
@@ -93,6 +96,29 @@ def test_sample_case_means_determinism_and_validation():
         sample_case_means(MeanCase.CASE_B, 20, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("case, d", [("rate", 1), ("rate", 20), ("rate", 21), ("rate", 200),
+                                     ("caseA", 1), ("caseA", 20), ("caseA", 21), ("caseA", 200),
+                                     ("caseB", 21), ("caseB", 200)])
+def test_case_means_match_the_per_case_reference_bit_for_bit(case, d):
+    for seed in range(200):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        pairs = zip(sample_case_means(case, d, rng), case_means_reference(case, d, ref_rng))
+        for got, want in pairs:
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # Both consumed the same draws, so the generators agree afterwards.
+        assert rng.integers(0, 2**63) == ref_rng.integers(0, 2**63)
+
+
+def test_draw_sample_is_means_then_noise_seed_then_sample():
+    for case, d in (("rate", 20), ("caseA", 30), ("caseB", 30)):
+        rng = np.random.default_rng(3)
+        tm, tp = case_means_reference(case, d, rng)
+        spec = ModelSpec(n=12, d=d, tau=0.25, theta_minus=tm, theta_plus=tp, sigma=0.5)
+        want = generate_sample(spec, int(rng.integers(0, 2**63 - 1))).values.copy()
+        got = draw_sample(case, 12, d, 0.25, 0.5, np.random.default_rng(3))
+        assert np.array_equal(got.values.view(np.int64), want.view(np.int64))
+
+
 def _rate_config(**overrides):
     base = dict(
         study="rate",
@@ -118,8 +144,9 @@ def test_config_validation():
         _rate_config(n_grid=(21,))  # tau * n not integral
     with pytest.raises(ValidationError):
         _rate_config(t_grid=(25,))
-    with pytest.raises(ValidationError, match="rate study requires the rate-model means"):
-        _rate_config(case=MeanCase.CASE_A, n_grid=(20,))
+    # Every study runs on every case: the rate study on case A, too.
+    config = _rate_config(case=MeanCase.CASE_A, trials=3)
+    assert same_records(run_study(config, workers=1), run_study(config, workers=2))
     with pytest.raises(ValidationError, match="rate study uses a single fixed T"):
         _rate_config(t_grid=(5, 10))
     with pytest.raises(ValidationError, match="d must be"):
@@ -256,9 +283,11 @@ def test_sweep_study_deterministic_and_repeatable():
     assert same_records(again, r1)
 
 
-def test_sweep_study_requires_case_means():
-    with pytest.raises(ValidationError, match="T sweep requires case A or case B means"):
-        _rate_config(study="sweep", n_grid=(20,))
+def test_sweep_study_runs_on_the_rate_model():
+    config = _rate_config(study="sweep", n_grid=(20,), t_grid=(1, 5, 20), trials=3)
+    result = run_study(config, workers=1)
+    assert same_records(result, run_study(config, workers=2))
+    assert list(result.summary) == [(20, t, "fixed-T") for t in (1, 5, 20)]
     with pytest.raises(ValidationError, match="T sweep uses a single sample size"):
         _case_b_config(study="sweep", n_grid=(20, 40))
 
@@ -299,8 +328,8 @@ def test_selection_comparison_deterministic_across_workers():
 def test_selection_comparison_validation():
     with pytest.raises(ValidationError, match="selection comparison needs t_star"):
         _case_b_config(t_star=None)
-    with pytest.raises(ValidationError, match="selection comparison requires case B means"):
-        _case_b_config(case=MeanCase.CASE_A)
+    config = _case_b_config(case=MeanCase.CASE_A, trials=3)
+    assert same_records(run_study(config, workers=1), run_study(config, workers=2))
     with pytest.raises(ValidationError, match="selection comparison uses a single sample size"):
         _case_b_config(n_grid=(20, 40))
 

@@ -82,6 +82,9 @@ def test_change_index_rounding_and_clamping():
         dict(n=8, d=2, tau=1.0, theta_minus=[0, 0], theta_plus=[0, 0], sigma=1.0),
         dict(n=8, d=2, tau=0.5, theta_minus=[0, 0, 0], theta_plus=[0, 0], sigma=1.0),
         dict(n=8, d=2, tau=0.5, theta_minus=[0, 0], theta_plus=[0, 0], sigma=-1.0),
+        dict(n=8, d=2, tau=0.5, theta_minus=[0, 0], theta_plus=[0, 0], sigma=math.inf),
+        dict(n=8, d=2, tau=0.5, theta_minus=[0, 0], theta_plus=[0, 0], sigma=math.nan),
+        dict(n=8.0, d=2, tau=0.5, theta_minus=[0, 0], theta_plus=[0, 0], sigma=1.0),
     ],
 )
 def test_spec_validation(kwargs):

@@ -22,7 +22,6 @@ from .experiments import (
     run_regression_study,
     run_study,
     sample_case_means,
-    sample_rate_means,
 )
 from .model import (
     ModelSpec,
@@ -74,7 +73,6 @@ __all__ = [
     "ExperimentConfig",
     "StudyResult",
     "derive_trial_seed",
-    "sample_rate_means",
     "sample_case_means",
     "draw_sample",
     "run_study",

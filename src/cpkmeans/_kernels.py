@@ -25,26 +25,23 @@ against the table; ``studybench/run.py --trace 1`` times all three in
 the studies.  ``row_argmins`` takes the argmins of chosen table rows,
 as a sweep needs.
 
-The table and the row take their temporaries from a per-thread
-workspace: the transposed columns, their squares (the table squares into
-its own output, which the running sum then overwrites) and the centring
-product; ``row_argmins`` makes its contiguous copy there too.  Each role
-has one flat float64 buffer, grown to the largest size seen and viewed
-at the shape a call needs, so the rows of one sample at several T share
-it.  The columns' buffer is the scratch one: the table's centring
-product, made once the columns are spent, and ``row_argmins`` use it too.
-
-The table itself, and ``model.generate_sample``'s draw, go into the
-memory the workspace last handed out for their role if no array on that
-memory is alive, and into new memory if one is: a result a caller holds
-is never written again, and each study trial reuses the last one's.
+The table, the row and ``row_argmins`` take every buffer they make, the
+returned table included, from a per-thread workspace, and so does
+``model.generate_sample`` for its draw.  A buffer is asked for by role
+and shape, and the role gets back the memory it last handed out if that
+is large enough and no array on it is alive, and new memory otherwise.
+So a result a caller holds, or any view of one, is never written again,
+each call or study trial reuses the last one's memory, and the rows of
+one sample at several T share it.  Arrays alive at the same time need
+their own roles; a kernel drops a spent one before it asks its role
+again.
 
 A study calls the kernels thousands of times at a few shapes, and fresh
 arrays of 150-320 KB would go back to the OS after each call and be
 faulted in again on the next: some 100 page faults per sweep trial and
 350 per rate trial at n = 4000, which cost more than the arithmetic.
-The workspace keeps its buffers for the thread's lifetime, up to 8 MB
-each; a larger call allocates and frees its own arrays, so one large
+The workspace keeps each role's memory for the thread's lifetime, up to
+8 MB; a larger call allocates and frees its own arrays, so one large
 call does not pin its size.
 """
 
@@ -55,32 +52,19 @@ import weakref
 import numpy as np
 
 
-# Buffers of up to this many float64 values (8 MB) are kept between calls.
+# Memory of up to this many float64 values (8 MB) is kept between calls.
 _KEEP = 1 << 20
 
 
 class _Workspace(threading.local):
-    """Memory of one thread, kept between calls, one flat float64 buffer per role.
-
-    ``take`` gives scratch whose contents never outlive a call; ``fresh``
-    gives memory for an array the caller will own.
-    """
+    """One thread's memory, kept between calls: the float64 memory each role last handed out."""
 
     def __init__(self):
-        self.buffers = {}
         self.handed = {}
 
-    def take(self, role: str, shape: tuple[int, ...]) -> np.ndarray:
-        size = math.prod(shape)
-        if size > _KEEP:
-            return np.empty(shape)
-        buffer = self.buffers.get(role)
-        if buffer is None or buffer.size < size:
-            buffer = self.buffers[role] = np.empty(size)
-        return buffer[:size].reshape(shape)
-
-    def fresh(self, role: str, shape: tuple[int, ...]) -> np.ndarray:
-        """The memory this role handed out last if no array on it is alive, else new memory."""
+    def empty(self, role: str, shape: tuple[int, ...]) -> np.ndarray:
+        """Like ``np.empty(shape)``, but on the memory this role handed out last
+        if that is large enough and no array on it is alive."""
         size = math.prod(shape)
         if size > _KEEP:
             return np.empty(shape)
@@ -129,17 +113,17 @@ def objective_table(values: np.ndarray) -> np.ndarray:
     """
     n, d = values.shape
     ks = np.arange(2, n - 1)
-    columns = _workspace.take("scratch", (d, n))
+    columns = _workspace.empty("scratch", (d, n))
     np.copyto(columns, values.T)
-    prefix = _workspace.fresh("table", (n, d))
+    prefix = _workspace.empty("table", (n, d))
     # The squares go to the output's memory, which the cumsum then overwrites.
     squares = _shift(columns, prefix.reshape(d, n))
     np.cumsum(columns.T, axis=0, out=prefix)
     total = prefix[-1]
     tss = np.cumsum(squares - total * total / n)
     out = prefix[1 : n - 2]
-    # The columns are spent, so the centring product takes their buffer.
-    out -= np.multiply((ks / n)[:, None], total, out=_workspace.take("scratch", out.shape))
+    del columns  # spent: the centring product takes their memory
+    out -= np.multiply((ks / n)[:, None], total, out=_workspace.empty("scratch", out.shape))
     out *= out
     np.cumsum(out, axis=1, out=out)
     out *= _weights(n)[:, None]
@@ -166,14 +150,14 @@ def objective_row(values: np.ndarray, T: int) -> np.ndarray:
     """
     n = values.shape[0]
     ks = np.arange(2, n - 1)
-    columns = _workspace.take("scratch", (T, n))
+    columns = _workspace.empty("scratch", (T, n))
     np.copyto(columns, values[:, :T].T)
-    squares = _shift(columns, _workspace.take("squares", (T, n)))
+    squares = _shift(columns, _workspace.empty("squares", (T, n)))
     np.cumsum(columns, axis=1, out=columns)
     total = columns[:, -1:]
     tss = np.cumsum(squares - total[:, 0] * total[:, 0] / n)[-1]
     cusum = columns[:, 1 : n - 2]
-    cusum -= np.multiply(total, ks / n, out=_workspace.take("product", cusum.shape))
+    cusum -= np.multiply(total, ks / n, out=_workspace.empty("squares", cusum.shape))
     cusum *= cusum
     energy = cusum[0].copy()
     for t in range(1, T):
@@ -189,7 +173,7 @@ def row_argmins(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     ``objective_table`` is; the table is copied into the workspace
     instead, and every row's argmin taken there.
     """
-    contiguous = _workspace.take("scratch", table.shape)
+    contiguous = _workspace.empty("scratch", table.shape)
     np.copyto(contiguous, table)
     return contiguous.argmin(axis=1)[rows]
 
@@ -210,7 +194,7 @@ def subsample_argmins(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
         ``argmin(objective_table(values[rows[i]])[T - 1])`` exactly.
 
     The loop runs over T, one column at a time, for all subsets at once,
-    and keeps (s, m) buffers, never an (s, m, d) stack.  Each subset's
+    and keeps (s, m) arrays, never an (s, m, d) stack.  Each subset's
     column is shifted by its own first value and centred on its own
     total, in the table's operations and order, so the values compared,
     and hence the first-minimum tie-break, are identical.  The shifted

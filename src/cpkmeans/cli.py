@@ -27,6 +27,7 @@ from .errors import ValidationError
 from .estimator import estimate_tau
 from .experiments import (
     ExperimentConfig,
+    MeanCase,
     StudyResult,
     draw_sample,
     run_regression_study,
@@ -197,7 +198,7 @@ class _Texts(dict):
         return text
 
 
-def _write_records(path, tau: float, result: StudyResult):
+def _write_records(path, result: StudyResult):
     # A record is one cell of the result's (trial, row) grid: its trial and n
     # come from the grid's row, its selector from the column, its T from the
     # column or, where the selector picks T, from the trial's row of T_grid.
@@ -210,8 +211,8 @@ def _write_records(path, tau: float, result: StudyResult):
     # one string each.  csv.writer would add nothing but its "\r\n": no field
     # needs quoting (every selector heads a summary group).
     assert not any(set(',"\r\n').intersection(tag) for _, _, tag in result.summary)
-    pair = _Texts(lambda x: f"{_fmt(x)},{_fmt(abs(x - tau))}").__getitem__
-    tau_text = _fmt(tau)
+    pair = _Texts(lambda x: f"{_fmt(x)},{_fmt(abs(x - result.tau))}").__getitem__
+    tau_text = _fmt(result.tau)
     tails = [f",{tag}\r\n" for _, tag in result.rows]
     mids = [[f"{t},{tau_text}," for t in T] for T in result.T_grid.tolist()]
     trials = result.trials
@@ -246,7 +247,7 @@ def _write_summary(path, config, result: StudyResult):
 
 
 def _run_simulate(args) -> int:
-    if args.means in ("rate", "caseA", "caseB"):
+    if args.means in {case.value for case in MeanCase}:
         sample = draw_sample(args.means, args.n, args.d, args.tau, args.sigma,
                              np.random.default_rng(args.seed))
     else:
@@ -302,7 +303,7 @@ def _run_experiment(args) -> int:
     # study whose slope is undefined, leaves no directory.
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_records(out_dir / "records.csv", config.tau, result)
+    _write_records(out_dir / "records.csv", result)
     _write_summary(out_dir / "summary.csv", config, result)
     return EXIT_OK
 

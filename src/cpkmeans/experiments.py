@@ -42,7 +42,6 @@ __all__ = [
     "ExperimentConfig",
     "StudyResult",
     "derive_trial_seed",
-    "sample_rate_means",
     "sample_case_means",
     "draw_sample",
     "run_study",
@@ -272,9 +271,8 @@ def _mean_table(case: MeanCase, d: int) -> tuple[np.ndarray, np.ndarray, int, bo
     return table
 
 
-def sample_rate_means(d: int, rng: np.random.Generator):
-    """The rate model's means; ``sample_case_means`` draws them."""
-    return sample_case_means(MeanCase.RATE_MODEL, d, rng)
+# studybench/replay.py still wraps this name (until ROADMAP item 5).
+sample_rate_means = functools.partial(sample_case_means, MeanCase.RATE_MODEL)
 
 
 def draw_sample(case: MeanCase, n: int, d: int, tau: float, sigma: float,

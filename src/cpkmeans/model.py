@@ -138,9 +138,10 @@ class SignalMatrix:
 def generate_sample(spec: ModelSpec, seed: int) -> SignalMatrix:
     """Draw one sample from the spec; identical (spec, seed) pairs give identical output."""
     # In place, so the draw is the only (n, d) array; IEEE addition commutes,
-    # so sigma * z + mean equals mean + sigma * z bit for bit.  The draw goes
-    # into the last sample's memory once no array on it is alive.
-    values = _workspace.fresh("sample", (spec.n, spec.d))
+    # so sigma * z + mean equals mean + sigma * z bit for bit.  The draw takes
+    # the workspace's "sample" memory: a study's trials share one sample's
+    # memory, and a sample someone still holds is never drawn over.
+    values = _workspace.empty("sample", (spec.n, spec.d))
     np.random.default_rng(seed).standard_normal(out=values)
     values *= spec.sigma
     values[: spec.change_index] += spec.theta_minus

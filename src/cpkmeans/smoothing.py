@@ -25,7 +25,7 @@ from ._kernels import objective_table  # noqa: F401
 from ._kernels import subsample_argmins
 from .errors import ValidationError
 from .estimator import ChangePointFit, estimate_tau
-from .model import SignalMatrix
+from .model import SignalMatrix, check_sigma
 
 __all__ = [
     "C_LEPSKI",
@@ -77,6 +77,9 @@ def lepski_select(z: np.ndarray, n: int, sigma: float, c_lepski: float = C_LEPSK
     z**2, evaluated here with one suffix-max scan.
     """
     check_c_lepski(c_lepski)
+    check_sigma(sigma)
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
     zv = np.asarray(z, dtype=np.float64)
     d = zv.size
     if d < 1:

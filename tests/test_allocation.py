@@ -144,12 +144,12 @@ _MEMORY = """
 import os, tracemalloc
 from cpkmeans import cli
 
-cli._write_records(os.devnull, 0.3, run_study(sweep(20)))
+cli._write_records(os.devnull, run_study(sweep(20)))
 tracemalloc.start()
 result = run_study(sweep(400))
 held, study_peak = tracemalloc.get_traced_memory()
 tracemalloc.reset_peak()
-cli._write_records(os.devnull, 0.3, result)
+cli._write_records(os.devnull, result)
 print(held, study_peak, tracemalloc.get_traced_memory()[1] - held)
 """
 

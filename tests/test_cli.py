@@ -475,7 +475,7 @@ def test_write_records_matches_per_row_writer(tmp_path, study):
     )
     result = run_study(config)
     assert len(result.n) == (75 if study == "sweep" else 9)
-    _write_records(tmp_path / "fast.csv", config.tau, result)
+    _write_records(tmp_path / "fast.csv", result)
     _write_records_per_row(tmp_path / "plain.csv", config.tau, result)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
@@ -488,7 +488,7 @@ def test_write_records_in_small_chunks_matches_per_row_writer(tmp_path, monkeypa
     )
     result = run_study(config)
     monkeypatch.setattr(cli, "_RECORD_CHUNK", 4)
-    _write_records(tmp_path / "chunked.csv", config.tau, result)
+    _write_records(tmp_path / "chunked.csv", result)
     _write_records_per_row(tmp_path / "plain.csv", config.tau, result)
     assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 

@@ -17,7 +17,6 @@ from cpkmeans import (
     run_regression_study,
     run_study,
     sample_case_means,
-    sample_rate_means,
 )
 
 from cpkmeans import experiments
@@ -53,7 +52,7 @@ def test_sample_rate_means_distributions():
     minus = np.empty(100_000)
     spread = np.empty(100_000)
     for i in range(100_000):
-        tm, tp = sample_rate_means(1, rng)
+        tm, tp = sample_case_means(MeanCase.RATE_MODEL, 1, rng)
         minus[i] = tm[0]
         spread[i] = tp[0] + tm[0]
     assert minus.var(ddof=1) == pytest.approx(0.05, rel=0.1)
@@ -62,8 +61,8 @@ def test_sample_rate_means_distributions():
 
 
 def test_sample_rate_means_determinism():
-    tm1, tp1 = sample_rate_means(5, np.random.default_rng(7))
-    tm2, tp2 = sample_rate_means(5, np.random.default_rng(7))
+    tm1, tp1 = sample_case_means(MeanCase.RATE_MODEL, 5, np.random.default_rng(7))
+    tm2, tp2 = sample_case_means(MeanCase.RATE_MODEL, 5, np.random.default_rng(7))
     assert np.array_equal(tm1, tm2) and np.array_equal(tp1, tp2)
 
 

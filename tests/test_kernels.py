@@ -163,8 +163,12 @@ def test_row_argmins_match_fancy_indexed_argmin():
             assert np.array_equal(row_argmins(table, rows), table[rows].argmin(axis=1))
 
 
-def _workspace_buffers():
-    return list(_kernels._workspace.buffers.values())
+def _workspace_memory():
+    """Each role's last memory, and whether an array on it is alive."""
+    return {
+        role: (np.frombuffer(memory), flat() is not None)
+        for role, (memory, flat) in _kernels._workspace.handed.items()
+    }
 
 
 def test_results_never_share_memory_with_the_workspace():
@@ -173,11 +177,12 @@ def test_results_never_share_memory_with_the_workspace():
     table_a, row_a = objective_table(a), objective_row(a, 7)
     table_a_copy, row_a_copy = table_a.copy(), row_a.copy()
     argmins_a = row_argmins(table_a, np.arange(30))
-    assert _workspace_buffers()
-    for buffer in _workspace_buffers():
+    assert _workspace_memory()
+    # Only memory the workspace sees as alive, and so will not hand out, holds a result.
+    for buffer, alive in _workspace_memory().values():
         for result in (table_a, row_a, argmins_a):
-            assert not np.shares_memory(result, buffer)
-    # A second call on other data, through the same buffers, leaves the first results alone.
+            assert alive or not np.shares_memory(result, buffer)
+    # A second call on other data, through the same workspace, leaves the first results alone.
     objective_table(b), objective_row(b, 7), objective_row(b, 30)
     row_argmins(objective_table(b), np.arange(30))
     assert np.array_equal(table_a, table_a_copy)
@@ -186,17 +191,27 @@ def test_results_never_share_memory_with_the_workspace():
 
 def test_workspace_buffers_are_reused_across_shapes():
     # The rows of one sample at several T, and smaller tables after larger
-    # ones, fit the buffers the largest call made.
+    # ones, fit the memory the largest call made.
     rng = np.random.default_rng(59)
     values = rng.normal(size=(80, 40))
     objective_table(values)
     objective_row(values, 40)
-    before = {role: buffer.ctypes.data for role, buffer in _kernels._workspace.buffers.items()}
+    before = {role: buffer.ctypes.data for role, (buffer, _) in _workspace_memory().items()}
     for T in (1, 13, 40):
         objective_row(values, T)
     objective_table(values[:50, :20])
-    after = {role: buffer.ctypes.data for role, buffer in _kernels._workspace.buffers.items()}
+    after = {role: buffer.ctypes.data for role, (buffer, _) in _workspace_memory().items()}
     assert after == before
+
+
+def test_workspace_hands_out_memory_only_once_no_array_on_it_is_alive():
+    workspace = _kernels._Workspace()
+    first = workspace.empty("scratch", (4, 5))[1:]  # a view outliving the array handed out
+    second = workspace.empty("scratch", (4, 5))
+    assert not np.shares_memory(first, second)
+    address = second.ctypes.data
+    del first, second
+    assert workspace.empty("scratch", (2, 3)).ctypes.data == address
 
 
 def _table_and_rows(values):
@@ -259,12 +274,12 @@ def test_large_calls_keep_no_buffer(monkeypatch):
 
     def work():
         got.append((objective_table(values), objective_row(values, 30)))
-        got.append((_kernels._workspace.buffers, _kernels._workspace.handed))
+        got.append(_kernels._workspace.handed)
 
     thread = threading.Thread(target=work)
     thread.start()
     thread.join(timeout=30)
-    (table, row), (buffers, handed) = got
+    (table, row), handed = got
     assert np.array_equal(table, objective_table_reference(values))
     assert np.array_equal(row, table[-1])
-    assert buffers == {} and handed == {}
+    assert handed == {}

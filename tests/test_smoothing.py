@@ -139,6 +139,15 @@ def test_lepski_nonincreasing_in_constant():
 def test_lepski_validation():
     with pytest.raises(ValidationError):
         lepski_select(np.zeros(5), 100, 1.0, c_lepski=0.0)
+    # Unchecked, a NaN sigma picks d and an infinite one 1, silently, and n = 0 divides by zero.
+    for sigma in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValidationError, match="sigma must be finite"):
+            lepski_select(np.full(5, 0.01), 10, sigma)
+    for n in (0, -3):
+        with pytest.raises(ValidationError, match="n must be >= 1"):
+            lepski_select(np.full(5, 0.01), n, 1.0)
+    with pytest.raises(ValidationError, match="sigma must be finite"):
+        estimate_adaptive(SignalMatrix(np.ones((6, 3))), np.nan)
 
 
 def test_lepski_rejects_empty_surrogate():

@@ -140,15 +140,12 @@ def read_config_file(path) -> dict[str, tuple[int, str]]:
     return items
 
 
-# Each key's parser, one key per ExperimentConfig field, and the defaults.
+# Each key's parser, one key per ExperimentConfig field; a key the file
+# leaves out takes the field's default.
 _CONFIG_KEYS = {
     "study": str, "case": str, "base_seed": int, "trials": int, "n_grid": _parse_int_list,
     "d": int, "sigma": float, "tau": float, "t_grid": _parse_int_list, "t_star": int,
-    "n_sub": int, "frac": float, "c_lepski": float,
-}
-_CONFIG_DEFAULTS = {
-    "study": "", "case": "", "base_seed": 0, "trials": 1, "n_grid": (), "d": 0,
-    "sigma": 1.0, "tau": 0.5, "t_grid": (),
+    "n_sub": int, "frac": float,
 }
 
 
@@ -163,7 +160,7 @@ def _build_experiment(args) -> tuple[str, ExperimentConfig, int]:
     unknown = set(raw) - set(_CONFIG_KEYS)
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    fields = dict(_CONFIG_DEFAULTS)
+    fields = {}
     for key, (lineno, text) in raw.items():
         try:
             fields[key] = _CONFIG_KEYS[key](text)
@@ -211,18 +208,19 @@ def _write_records(path, result: StudyResult):
     # one string each.  csv.writer would add nothing but its "\r\n": no field
     # needs quoting (every selector heads a summary group).
     assert not any(set(',"\r\n').intersection(tag) for _, _, tag in result.summary)
-    pair = _Texts(lambda x: f"{_fmt(x)},{_fmt(abs(x - result.tau))}").__getitem__
-    tau_text = _fmt(result.tau)
-    tails = [f",{tag}\r\n" for _, tag in result.rows]
+    config = result.config
+    pair = _Texts(lambda x: f"{_fmt(x)},{_fmt(abs(x - config.tau))}").__getitem__
+    tau_text = _fmt(config.tau)
+    tails = [f",{tag}\r\n" for _, tag in config.rows]
     mids = [[f"{t},{tau_text}," for t in T] for T in result.T_grid.tolist()]
-    trials = result.trials
+    trials = config.trials
     block = max(1, _RECORD_CHUNK // len(tails))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_RECORD_HEADER) + "\r\n")
         for start in range(0, len(result.grid), block):
             lines = []
             for g, tau_hats in enumerate(result.grid[start:start + block].tolist(), start):
-                head = f"{g % trials},{result.n_grid[g // trials]},"
+                head = f"{g % trials},{config.n_grid[g // trials]},"
                 lines += [
                     f"{head}{mid}{pair(x)}{tail}"
                     for mid, x, tail in zip(mids[g if len(mids) > 1 else 0], tau_hats, tails)
@@ -235,7 +233,8 @@ def _summary_row(stats):
             _fmt(stats.variance), _fmt(stats.std_dev)]
 
 
-def _write_summary(path, config, result: StudyResult):
+def _write_summary(path, result: StudyResult):
+    config = result.config
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_SUMMARY_HEADER)
@@ -290,6 +289,13 @@ def _run_select_t(args) -> int:
 
 def _run_experiment(args) -> int:
     study, config, workers = _build_experiment(args)
+    # Refused before the first trial, not after the whole study: an --out
+    # that is not a directory, or whose nearest existing ancestor is not one.
+    out_dir = Path(args.out)
+    full = out_dir.absolute()
+    nearest = next(p for p in (full, *full.parents) if p.exists())  # "/" always exists
+    if not nearest.is_dir():
+        raise NotADirectoryError(f"--out {out_dir}: {nearest} is not a directory")
     result = run_study(config, workers=workers)
     if study == "rate":
         for name, slope in zip(("slope_mean", "slope_median"), run_regression_study(result)):
@@ -301,10 +307,9 @@ def _run_experiment(args) -> int:
             print(f"{tag}_mean={_fmt(stats.mean)}")
     # Made only once the study has run, so a run that fails, such as a rate
     # study whose slope is undefined, leaves no directory.
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_records(out_dir / "records.csv", result)
-    _write_summary(out_dir / "summary.csv", config, result)
+    _write_summary(out_dir / "summary.csv", result)
     return EXIT_OK
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._kernels import objective_row, objective_table, row_argmins
 from .errors import ValidationError
-from .model import SignalMatrix
+from .model import SignalMatrix, _integer
 
 __all__ = [
     "ChangePointFit",
@@ -37,14 +37,16 @@ class ChangePointFit:
     objective: np.ndarray  # objective[i] = criterion at split k = i + 2
 
 
-def _check_t(Y: SignalMatrix, T: int):
+def _check_t(Y: SignalMatrix, T: int) -> int:
+    T = _integer("T", T)
     if not 1 <= T <= Y.d:
         raise ValidationError(f"T must lie in [1, {Y.d}], got {T}")
+    return T
 
 
 def estimate_tau(Y: SignalMatrix, T: int) -> ChangePointFit:
     """Minimize the objective over k in {2, ..., n-2} at truncation level T."""
-    _check_t(Y, T)
+    T = _check_t(Y, T)
     # One row of the objective table, summed in the table's order, so it
     # reproduces row T of the full table used by sweep_estimate bit for bit
     # and single fits and sweeps agree exactly.  The row is a fresh array.
@@ -60,8 +62,12 @@ def sweep_estimate(Y: SignalMatrix, T_list) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(k_hat, table)``: the intp split of each level in ``T_list``
     order, the first minimum of its row as in ``estimate_tau``, and the read-only
     (d, n - 3) table, whose row T - 1 is ``estimate_tau(Y, T).objective`` bit for bit.
+    ``T_list`` is any iterable of integers; a float in it is refused, not truncated.
     """
-    ts = np.fromiter(T_list, dtype=np.intp)
+    entries = list(T_list)
+    ts = np.array(entries)
+    if ts.dtype.kind not in "iu":  # floats, or integers numpy unites only as floats or objects
+        ts = np.array([_integer("every T", t) for t in entries], dtype=np.intp)
     if not ts.size:
         raise ValidationError("T_list must be non-empty")
     _check_t(Y, int(ts.min()))

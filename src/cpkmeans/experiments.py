@@ -14,8 +14,9 @@ any case.  The config names its study, and so its (T, selector) rows: a
 fixed T, the oracle T or a selector that picks T in every trial.
 ``_trial`` fills every row of one trial, and ``run_study`` writes each
 trial's tau_hat into one (trial, row) grid as it arrives and summarises
-each row of each n into one ``StudyResult``, which builds the record
-columns on demand.
+each row of each n into one ``StudyResult``.  The result keeps the
+config it ran, the one record of the study's parameters, and builds the
+record columns from it on demand.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from .errors import ValidationError
 from .estimator import estimate_tau, sweep_estimate
 from .model import ModelSpec, SignalMatrix, _integer, check_sigma, generate_sample
 from .smoothing import (
-    C_LEPSKI, check_c_lepski, check_subsampling, method1_select, method2_select, subsample_size,
-    surrogate,
+    check_subsampling, method1_select, method2_select, subsample_size, surrogate,
 )
 from .stats import SummaryStats, fit_line, summarize_columns
 
@@ -82,22 +82,24 @@ class ExperimentConfig:
     ``study`` is ``rate`` (error against n at one T), ``sweep`` (error
     against T at one n) or ``selection`` (the oracle T and the two
     practical selectors at one n), and ``case`` names the means it draws;
-    every study runs on every case.  Construction runs every check, the
-    study's own included, so a config that exists can be run.
+    every study runs on every case.  The defaults are the config file's:
+    a key the file leaves out takes the field's default, and the empty
+    ``study``, ``case`` and ``n_grid`` and the zero ``d`` fail their
+    checks.  Construction runs every check, the study's own included, so
+    a config that exists can be run.
     """
 
-    study: str
-    base_seed: int
-    trials: int
-    n_grid: tuple[int, ...]
-    d: int
-    sigma: float
-    tau: float
-    case: MeanCase
-    t_grid: tuple[int, ...]
+    study: str = ""
+    base_seed: int = 0
+    trials: int = 1
+    n_grid: tuple[int, ...] = ()
+    d: int = 0
+    sigma: float = 1.0
+    tau: float = 0.5
+    case: MeanCase = ""
+    t_grid: tuple[int, ...] = ()
     n_sub: int = 100
     frac: float = 0.8
-    c_lepski: float = C_LEPSKI
     t_star: int | None = None
 
     def __post_init__(self):
@@ -119,7 +121,6 @@ class ExperimentConfig:
         if not 0.0 < self.tau < 1.0:
             raise ValidationError(f"tau must lie in (0, 1), got {self.tau}")
         check_sigma(self.sigma)
-        check_c_lepski(self.c_lepski)
         check_subsampling(self.n_sub, self.frac)
         if not self.n_grid:
             raise ValidationError("n_grid must be non-empty")
@@ -169,34 +170,34 @@ class ExperimentConfig:
 
 @dataclass(frozen=True, eq=False)
 class StudyResult:
-    """The records of one study as a (trial, row) grid of tau_hat, and their summary.
+    """The records of the study ``config`` ran, as a (trial, row) grid of
+    tau_hat, and their summary.
 
-    ``grid`` has one read-only row per trial, n by n in ``n_grid`` order,
-    and one column per row key of ``rows``, a (T, selector) pair; T is
-    None for the selectors that pick T afresh in every trial.  ``T_grid``
-    holds each record's T: one row shared by every trial, or one row per
-    trial when a selector picks T.  The record columns, one entry per row
-    of records.csv, are built from these on access.
+    ``grid`` has one read-only row per trial, n by n in ``config.n_grid``
+    order, and one column per row key of ``config.rows``, a (T, selector)
+    pair; T is None for the selectors that pick T afresh in every trial.
+    ``T_grid`` holds each record's T: one row shared by every trial, or
+    one row per trial when a selector picks T.  The record columns, one
+    entry per row of records.csv, are built from these on access.
 
     ``summary`` maps (n, T, selector) to the stats of that group's
     ``abs_error``, in the order the groups first appear in the records.
     """
 
+    config: ExperimentConfig
     grid: np.ndarray
-    rows: tuple[tuple[int | None, str], ...]
     T_grid: np.ndarray
-    n_grid: tuple[int, ...]
-    trials: int
-    tau: float
     summary: dict[tuple[int, int | None, str], SummaryStats]
 
     @property
     def trial_index(self) -> np.ndarray:
-        return np.tile(np.repeat(np.arange(self.trials), len(self.rows)), len(self.n_grid))
+        c = self.config
+        return np.tile(np.repeat(np.arange(c.trials), len(c.rows)), len(c.n_grid))
 
     @property
     def n(self) -> np.ndarray:
-        return np.repeat(self.n_grid, self.trials * len(self.rows))
+        c = self.config
+        return np.repeat(c.n_grid, c.trials * len(c.rows))
 
     @property
     def T(self) -> np.ndarray:
@@ -208,11 +209,11 @@ class StudyResult:
 
     @property
     def abs_error(self) -> np.ndarray:
-        return np.abs(self.grid - self.tau).ravel()
+        return np.abs(self.grid - self.config.tau).ravel()
 
     @property
     def selector(self) -> np.ndarray:
-        return np.tile([tag for _, tag in self.rows], len(self.grid))
+        return np.tile([tag for _, tag in self.config.rows], len(self.grid))
 
     @property
     def t_star(self) -> int:
@@ -362,10 +363,7 @@ def run_study(config: ExperimentConfig, workers: int = 1) -> StudyResult:
             keys = [(n, t, tag) for t, tag in rows[lo:lo + _SUMMARY_COLUMNS]]
             errors = np.abs(block[:, lo:lo + _SUMMARY_COLUMNS] - config.tau)
             summary.update(zip(keys, summarize_columns(errors)))
-    return StudyResult(
-        grid=grid, rows=rows, T_grid=T_grid, n_grid=config.n_grid, trials=config.trials,
-        tau=config.tau, summary=summary,
-    )
+    return StudyResult(config=config, grid=grid, T_grid=T_grid, summary=summary)
 
 
 def run_regression_study(result: StudyResult) -> tuple[float, float]:

@@ -25,7 +25,7 @@ from ._kernels import objective_table  # noqa: F401
 from ._kernels import subsample_argmins
 from .errors import ValidationError
 from .estimator import ChangePointFit, estimate_tau
-from .model import SignalMatrix, check_sigma
+from .model import SignalMatrix, _integer, check_sigma
 
 __all__ = [
     "C_LEPSKI",
@@ -41,11 +41,6 @@ __all__ = [
 # The windowed-energy threshold's constant: 16 is the smallest admissible
 # constant independent of the unknown smoothness radius.
 C_LEPSKI = 16.0
-
-
-def check_c_lepski(c_lepski: float):
-    if not c_lepski > 0:
-        raise ValidationError(f"c_lepski must be > 0, got {c_lepski}")
 
 
 def surrogate(Y: SignalMatrix) -> np.ndarray:
@@ -76,8 +71,10 @@ def lepski_select(z: np.ndarray, n: int, sigma: float, c_lepski: float = C_LEPSK
     C[k-1] >= max_{j >= k} (C[j] - thr(j)) with C the prefix sums of
     z**2, evaluated here with one suffix-max scan.
     """
-    check_c_lepski(c_lepski)
+    if not c_lepski > 0:
+        raise ValidationError(f"c_lepski must be > 0, got {c_lepski}")
     check_sigma(sigma)
+    n = _integer("n", n)
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     zv = np.asarray(z, dtype=np.float64)
@@ -139,6 +136,7 @@ def method2_select(Y: SignalMatrix, n_sub: int, frac: float, seed: int) -> int:
     vectorised draw would take other subsets from the stream; the drawn
     rows are sorted in one call.
     """
+    n_sub = _integer("n_sub", n_sub)
     m = subsample_size(Y.n, n_sub, frac)
     rng = np.random.default_rng(seed)
     rows = np.sort(np.stack([rng.choice(Y.n, size=m, replace=False) for _ in range(n_sub)]), axis=1)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cpkmeans import ValidationError, cli
+from cpkmeans import ValidationError, cli, experiments
 from cpkmeans.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -305,23 +305,65 @@ def test_experiment_config_fields_are_the_config_keys():
     assert {field.name for field in dataclasses.fields(ExperimentConfig)} == set(cli._CONFIG_KEYS)
 
 
-def test_experiment_unwritable_out_is_io_error(tmp_path, capsys):
+def test_experiment_unwritable_out_is_io_error(tmp_path, capsys, monkeypatch):
+    # An --out that is a file, or lies under one, is refused before the first
+    # trial: no study runs and no headline is printed.
     cfg = tmp_path / "rate.cfg"
     cfg.write_text(RATE_CFG)
     blocker = tmp_path / "file"
     blocker.write_text("")
-    args = ["experiment", "--config", str(cfg), "--out", str(blocker / "run")]
-    assert main(args) == EXIT_IO
-    assert "i/o error" in capsys.readouterr().err
+
+    def no_trial(payload):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiments, "_rate_trial", no_trial)
+    for out in (blocker, blocker / "run"):
+        args = ["experiment", "--config", str(cfg), "--out", str(out)]
+        assert main(args) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"i/o error: --out {out}: {blocker} is not a directory" in captured.err
+        assert blocker.read_text() == ""
 
 
-def test_experiment_bad_c_lepski_is_rejected_before_trials(tmp_path, capsys):
+def test_experiment_config_file_defaults_are_the_dataclass_defaults(tmp_path):
+    # A key the file leaves out takes the ExperimentConfig field's default.
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("study=sweep\ncase=caseA\nn_grid=20\nd=5\nt_grid=1:5\n")
+    argv = ["experiment", "--config", str(cfg), "--out", str(tmp_path / "run")]
+    study, config, workers = cli._build_experiment(parse_invocation(argv))
+    assert (study, workers) == ("sweep", 1)
+    assert config == ExperimentConfig(study="sweep", case="caseA", n_grid=(20,), d=5,
+                                      t_grid=(1, 2, 3, 4, 5))
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        ("study", "study must be rate | sweep | selection, got ''"),
+        ("n_grid", "n_grid must be non-empty"),
+        ("d", "d must be >= 1, got 0"),
+    ],
+)
+def test_experiment_config_must_name_its_study_and_grid(tmp_path, capsys, key, message):
+    # study, case, n_grid and d have no default that runs; case has its own test.
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text("".join(line + "\n" for line in RATE_CFG.splitlines()
+                           if not line.startswith(f"{key}=")))
+    out = tmp_path / "run"
+    assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_experiment_c_lepski_key_is_unknown(tmp_path, capsys):
+    # The Lepski constant is a parameter of lepski_select and select-t only:
+    # no study reads it, so no config takes it.
     cfg = tmp_path / "rate.cfg"
     cfg.write_text(RATE_CFG + "c_lepski=0\n")
     out = tmp_path / "run"
-    args = ["experiment", "--config", str(cfg), "--out", str(out)]
-    assert main(args) == EXIT_VALIDATION
-    assert "c_lepski must be > 0" in capsys.readouterr().err
+    assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    assert "unknown config keys: ['c_lepski']" in capsys.readouterr().err
     assert not out.exists()
 
 

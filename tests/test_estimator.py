@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,12 @@ def test_estimate_validation():
         estimate_tau(STEP, 0)
     with pytest.raises(ValidationError):
         estimate_tau(STEP, 2)
+    # A float T is refused, not truncated or left to fail inside numpy.
+    y = SignalMatrix(np.zeros((6, 3)))
+    for T in (2.5, 2.0, np.float64(1.0)):
+        with pytest.raises(ValidationError, match="T must be an integer"):
+            estimate_tau(y, T)
+    assert estimate_tau(y, np.int64(2)).T_used == 2
 
 
 def test_sweep_singleton_matches_single_fit():
@@ -168,6 +176,16 @@ def test_sweep_validation():
     for bad in ([2, 0, 1], [1, 4, 2]):
         with pytest.raises(ValidationError):
             sweep_estimate(y, bad)
+    # Floats are refused, not truncated: [2.9, 3] used to fit T = 2 and T = 3.
+    for bad, entry in (([2.5], "2.5"), ([2.9, 3], "2.9"), ([1, 2.0], "2.0"),
+                       (np.array([1.0]), "np.float64(1.0)"), (iter([1, 1.5]), "1.5")):
+        with pytest.raises(ValidationError, match=re.escape(f"T must be an integer, got {entry}")):
+            sweep_estimate(y, bad)
+    # Any iterable of integers, numpy's and mixed ones included.
+    expected = sweep_estimate(y, [1, 2, 3])[0].tolist()
+    for good in (range(1, 4), iter([1, 2, 3]), np.array([1, 2, 3], dtype=np.uint8),
+                 (np.int32(1), np.uint64(2), 3)):
+        assert sweep_estimate(y, good)[0].tolist() == expected
 
 
 def test_zero_noise_exactness_random_specs():

@@ -160,11 +160,11 @@ def test_config_validation():
         _rate_config(t_grid=(5, 5, 6))
     with pytest.raises(ValidationError, match=r"n_grid repeats \[20\]"):
         _rate_config(n_grid=(20, 40, 20))
-    for c_lepski in (0.0, -1.0, math.nan):
-        with pytest.raises(ValidationError, match="c_lepski must be > 0"):
-            _rate_config(c_lepski=c_lepski)
     with pytest.raises(ValidationError, match="case B needs d >= 21"):
         _rate_config(case=MeanCase.CASE_B, d=20)
+    # No study reads the Lepski constant, so a config has no field for it.
+    with pytest.raises(TypeError, match="c_lepski"):
+        _rate_config(c_lepski=16.0)
     assert _rate_config(study="sweep", case=MeanCase.CASE_B, d=21, n_grid=(20,)).d == 21
     for t_star in (0, 21):
         with pytest.raises(ValidationError, match=r"t_star must lie in \[1, 20\]"):
@@ -235,10 +235,8 @@ def test_regression_study_recovers_power_laws():
             (n, 10, "fixed-T"): SummaryStats(mean=e, median=e, variance=0.0, std_dev=0.0, count=1)
             for n, e in errors.items()
         }
-        return StudyResult(
-            grid=np.empty((0, 1)), rows=((10, "fixed-T"),), T_grid=np.array([[10]]),
-            n_grid=tuple(errors), trials=0, tau=0.3, summary=summary,
-        )
+        return StudyResult(config=_rate_config(n_grid=tuple(errors)), grid=np.empty((0, 1)),
+                           T_grid=np.array([[10]]), summary=summary)
 
     slope_mean, slope_median = run_regression_study(
         fake({100: 3.0 / 100, 200: 3.0 / 200, 400: 3.0 / 400})

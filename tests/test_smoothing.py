@@ -146,6 +146,9 @@ def test_lepski_validation():
     for n in (0, -3):
         with pytest.raises(ValidationError, match="n must be >= 1"):
             lepski_select(np.full(5, 0.01), n, 1.0)
+    for n in (2.5, 10.0):
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            lepski_select(np.full(5, 0.01), n, 1.0)
     with pytest.raises(ValidationError, match="sigma must be finite"):
         estimate_adaptive(SignalMatrix(np.ones((6, 3))), np.nan)
 
@@ -275,6 +278,10 @@ def test_method2_validation():
         method2_select(sample, 5, 1.0, 0)  # frac out of range
     with pytest.raises(ValidationError):
         method2_select(sample, 5, 0.3, 0)  # subsample below 4 rows
+    for n_sub in (2.5, 5.0):
+        with pytest.raises(ValidationError, match="n_sub must be an integer"):
+            method2_select(sample, n_sub, 0.8, 0)
+    assert method2_select(sample, np.int64(5), 0.8, 0) == method2_select(sample, 5, 0.8, 0)
 
 
 def test_adaptive_equals_manual_pipeline():

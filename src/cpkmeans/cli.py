@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_integer, check_sigma
 from .estimator import estimate_tau
 from .experiments import (
     ExperimentConfig,
@@ -33,7 +33,7 @@ from .experiments import (
     run_regression_study,
     run_study,
 )
-from .model import ModelSpec, SignalMatrix, check_sigma, generate_sample
+from .model import ModelSpec, SignalMatrix, generate_sample
 from .smoothing import C_LEPSKI, lepski_select, method1_select, method2_select, surrogate
 
 # studybench/replay.py still wraps these per-study names (until ROADMAP item 5).
@@ -150,9 +150,7 @@ _CONFIG_KEYS = {
 
 
 def _build_experiment(args) -> tuple[str, ExperimentConfig, int]:
-    max_workers = os.cpu_count() or 1
-    if not 1 <= args.workers <= max_workers:
-        raise ValidationError(f"--workers must lie in [1, {max_workers}], got {args.workers}")
+    check_integer("--workers", args.workers, 1, os.cpu_count() or 1)
     try:
         raw = read_config_file(args.config)
     except OSError as exc:
@@ -323,7 +321,7 @@ def run(invocation: argparse.Namespace) -> int:
     }
     try:
         return handlers[invocation.command](invocation)
-    except (ValidationError, ValueError) as exc:
+    except ValueError as exc:  # ValidationError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

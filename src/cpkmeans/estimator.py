@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import objective_row, objective_table, row_argmins
-from .errors import ValidationError
-from .model import SignalMatrix, _integer
+from .errors import ValidationError, check_integer
+from .model import SignalMatrix
 
 __all__ = [
     "ChangePointFit",
@@ -37,16 +37,9 @@ class ChangePointFit:
     objective: np.ndarray  # objective[i] = criterion at split k = i + 2
 
 
-def _check_t(Y: SignalMatrix, T: int) -> int:
-    T = _integer("T", T)
-    if not 1 <= T <= Y.d:
-        raise ValidationError(f"T must lie in [1, {Y.d}], got {T}")
-    return T
-
-
 def estimate_tau(Y: SignalMatrix, T: int) -> ChangePointFit:
     """Minimize the objective over k in {2, ..., n-2} at truncation level T."""
-    T = _check_t(Y, T)
+    T = check_integer("T", T, 1, Y.d)
     # One row of the objective table, summed in the table's order, so it
     # reproduces row T of the full table used by sweep_estimate bit for bit
     # and single fits and sweeps agree exactly.  The row is a fresh array.
@@ -67,11 +60,11 @@ def sweep_estimate(Y: SignalMatrix, T_list) -> tuple[np.ndarray, np.ndarray]:
     entries = list(T_list)
     ts = np.array(entries)
     if ts.dtype.kind not in "iu":  # floats, or integers numpy unites only as floats or objects
-        ts = np.array([_integer("every T", t) for t in entries], dtype=np.intp)
+        ts = np.array([check_integer("every T", t) for t in entries], dtype=np.intp)
     if not ts.size:
         raise ValidationError("T_list must be non-empty")
-    _check_t(Y, int(ts.min()))
-    _check_t(Y, int(ts.max()))
-    table = objective_table(np.ascontiguousarray(Y.values))
+    for t in (ts.min(), ts.max()):
+        check_integer("every T", t, 1, Y.d)
+    table = objective_table(Y.values)
     table.flags.writeable = False
     return row_argmins(table, ts - 1) + 2, table

@@ -29,12 +29,10 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_fraction, check_integer, check_sigma
 from .estimator import estimate_tau, sweep_estimate
-from .model import ModelSpec, SignalMatrix, _integer, check_sigma, generate_sample
-from .smoothing import (
-    check_subsampling, method1_select, method2_select, subsample_size, surrogate,
-)
+from .model import ModelSpec, SignalMatrix, generate_sample
+from .smoothing import method1_select, method2_select, subsample_size, surrogate
 from .stats import SummaryStats, fit_line, summarize_columns
 
 __all__ = [
@@ -60,12 +58,20 @@ class MeanCase(str, Enum):
     CASE_B = "caseB"
 
 
-def _check_case_d(case: MeanCase, d: int):
-    if d < 1:
-        raise ValidationError(f"d must be >= 1, got {d}")
+def _check_case_d(case: MeanCase, d: int) -> int:
+    d = check_integer("d", d, 1)
     # Case B draws its 20 leading coordinates apart from a non-empty tail.
     if case is MeanCase.CASE_B and d < 21:
         raise ValidationError(f"case B needs d >= 21, got {d}")
+    return d
+
+
+def _integer_grid(name: str, entry: str, grid, lo: int, hi: int | None = None):
+    try:
+        entries = iter(grid)
+    except TypeError:
+        raise ValidationError(f"{name} must be a sequence of integers, got {grid!r}") from None
+    return tuple(check_integer(entry, x, lo, hi) for x in entries)
 
 
 def _check_distinct(name: str, grid: tuple[int, ...]):
@@ -109,36 +115,28 @@ class ExperimentConfig:
             object.__setattr__(self, "case", MeanCase(self.case))
         except ValueError:
             raise ValidationError(f"case must be rate | caseA | caseB, got {self.case!r}") from None
-        for name in ("base_seed", "trials", "d", "n_sub", "t_star"):
-            if name != "t_star" or self.t_star is not None:
-                object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        for name in ("n_grid", "t_grid"):
-            grid = tuple(_integer(f"every {name} entry", x) for x in getattr(self, name))
-            object.__setattr__(self, name, grid)
-        if self.trials < 1:
-            raise ValidationError(f"trials must be >= 1, got {self.trials}")
-        _check_case_d(self.case, self.d)
-        if not 0.0 < self.tau < 1.0:
-            raise ValidationError(f"tau must lie in (0, 1), got {self.tau}")
-        check_sigma(self.sigma)
-        check_subsampling(self.n_sub, self.frac)
+        store = functools.partial(object.__setattr__, self)
+        store("base_seed", check_integer("base_seed", self.base_seed))
+        store("trials", check_integer("trials", self.trials, 1))
+        store("d", _check_case_d(self.case, self.d))
+        store("tau", check_fraction("tau", self.tau))
+        store("sigma", check_sigma(self.sigma))
+        store("n_sub", check_integer("n_sub", self.n_sub, 2))
+        store("frac", check_fraction("frac", self.frac))
+        store("n_grid", _integer_grid("n_grid", "every n", self.n_grid, 4))
+        store("t_grid", _integer_grid("t_grid", "every T", self.t_grid, 1, self.d))
+        if self.t_star is not None:
+            store("t_star", check_integer("t_star", self.t_star, 1, self.d))
         if not self.n_grid:
             raise ValidationError("n_grid must be non-empty")
         _check_distinct("n_grid", self.n_grid)
         for n in self.n_grid:
-            if n < 4:
-                raise ValidationError(f"every n must be >= 4, got {n}")
             if abs(self.tau * n - round(self.tau * n)) > 1e-9:
                 raise ValidationError(f"tau * n must be integral, got tau={self.tau}, n={n}")
         # The selection study's rows come from t_star, so it needs no t_grid.
         if not self.t_grid and self.study != "selection":
             raise ValidationError("t_grid must be non-empty")
         _check_distinct("t_grid", self.t_grid)
-        for t in self.t_grid:
-            if not 1 <= t <= self.d:
-                raise ValidationError(f"every T must lie in [1, {self.d}], got {t}")
-        if self.t_star is not None and not 1 <= self.t_star <= self.d:
-            raise ValidationError(f"t_star must lie in [1, {self.d}], got {self.t_star}")
         if self.study == "rate":
             if len(self.t_grid) != 1:
                 raise ValidationError("rate study uses a single fixed T")
@@ -243,7 +241,7 @@ def sample_case_means(case: MeanCase, d: int, rng: np.random.Generator):
     variance 1/(2 (j - 20)^2).
     """
     case = MeanCase(case)
-    _check_case_d(case, d)
+    d = _check_case_d(case, d)
     sd_minus, sd_plus, shared, negate = _mean_table(case, d)
     theta_minus = rng.normal(0.0, sd_minus)
     loc = 0.0

@@ -4,19 +4,20 @@ An n x d sample has rows drawn around a pre-change mean for the first
 ``change_index`` rows and around a post-change mean afterwards, with
 i.i.d. Gaussian coordinate noise of known standard deviation.  This
 module holds the generative spec, the sampler, and the gap and rate
-functionals the estimators are judged against.
+functionals the estimators are judged against.  Its input checks are the
+rules in ``errors``, which every module shares.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import _workspace
-from .errors import ValidationError
+from .errors import ValidationError, check_fraction, check_integer, check_real, check_sigma
 
 __all__ = [
     "ModelSpec",
@@ -25,19 +26,6 @@ __all__ = [
     "gap_squared",
     "rate_psi",
 ]
-
-
-def _integer(name: str, value) -> int:
-    # operator.index takes numpy integers and refuses floats, even integral ones.
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
-
-
-def check_sigma(sigma: float):
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise ValidationError(f"sigma must be finite and >= 0, got {sigma}")
 
 
 def _readonly_vector(x, d: int, name: str) -> np.ndarray:
@@ -66,21 +54,13 @@ class ModelSpec:
     sigma: float
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _integer("n", self.n))
-        object.__setattr__(self, "d", _integer("d", self.d))
-        if self.n < 4:
-            raise ValidationError(f"n must be >= 4, got {self.n}")
-        if self.d < 1:
-            raise ValidationError(f"d must be >= 1, got {self.d}")
-        if not 0.0 < self.tau < 1.0:
-            raise ValidationError(f"tau must lie in (0, 1), got {self.tau}")
-        check_sigma(self.sigma)
-        object.__setattr__(
-            self, "theta_minus", _readonly_vector(self.theta_minus, self.d, "theta_minus")
-        )
-        object.__setattr__(
-            self, "theta_plus", _readonly_vector(self.theta_plus, self.d, "theta_plus")
-        )
+        store = functools.partial(object.__setattr__, self)
+        store("n", check_integer("n", self.n, 4))
+        store("d", check_integer("d", self.d, 1))
+        store("tau", check_fraction("tau", self.tau))
+        store("sigma", check_sigma(self.sigma))
+        store("theta_minus", _readonly_vector(self.theta_minus, self.d, "theta_minus"))
+        store("theta_plus", _readonly_vector(self.theta_plus, self.d, "theta_plus"))
 
     @property
     def change_index(self) -> int:
@@ -92,10 +72,8 @@ def _checked_matrix(arr: np.ndarray) -> np.ndarray:
     """A float64 array made read-only after the checks every signal matrix passes."""
     if arr.ndim != 2:
         raise ValidationError(f"values must be 2-dimensional, got ndim={arr.ndim}")
-    if arr.shape[0] < 4:
-        raise ValidationError(f"need at least 4 rows, got {arr.shape[0]}")
-    if arr.shape[1] < 1:
-        raise ValidationError("need at least 1 coordinate per row")
+    check_integer("n", arr.shape[0], 4)
+    check_integer("d", arr.shape[1], 1)
     if not np.all(np.isfinite(arr)):
         raise ValidationError("all entries must be finite")
     arr.flags.writeable = False
@@ -151,18 +129,15 @@ def generate_sample(spec: ModelSpec, seed: int) -> SignalMatrix:
 
 def gap_squared(spec: ModelSpec, T: int) -> float:
     """Squared distance between the segment means over the first T coordinates."""
-    if not 1 <= T <= spec.d:
-        raise ValidationError(f"T must lie in [1, {spec.d}], got {T}")
+    T = check_integer("T", T, 1, spec.d)
     diff = spec.theta_minus[:T] - spec.theta_plus[:T]
     return float(diff @ diff)
 
 
 def rate_psi(n: int, T: int, delta_t_sq: float, sigma: float) -> float:
     """Theoretical error-rate functional; +inf for a zero gap with noise, 0 without noise."""
-    if n < 1 or T < 1:
-        raise ValidationError(f"n and T must be >= 1, got n={n}, T={T}")
-    if delta_t_sq < 0 or sigma < 0:
-        raise ValidationError("delta_t_sq and sigma must be >= 0")
+    n, T = check_integer("n", n, 1), check_integer("T", T, 1)
+    delta_t_sq, sigma = check_real("delta_t_sq", delta_t_sq, 0), check_sigma(sigma)
     if sigma == 0.0:
         return 0.0
     if delta_t_sq == 0.0:

@@ -23,9 +23,9 @@ import numpy as np
 # Unused here, but kept bound: tracing tools wrap smoothing.objective_table by name.
 from ._kernels import objective_table  # noqa: F401
 from ._kernels import subsample_argmins
-from .errors import ValidationError
+from .errors import ValidationError, check_fraction, check_integer, check_real, check_sigma
 from .estimator import ChangePointFit, estimate_tau
-from .model import SignalMatrix, _integer, check_sigma
+from .model import SignalMatrix
 
 __all__ = [
     "C_LEPSKI",
@@ -71,12 +71,9 @@ def lepski_select(z: np.ndarray, n: int, sigma: float, c_lepski: float = C_LEPSK
     C[k-1] >= max_{j >= k} (C[j] - thr(j)) with C the prefix sums of
     z**2, evaluated here with one suffix-max scan.
     """
-    if not c_lepski > 0:
+    if not check_real("c_lepski", c_lepski) > 0:
         raise ValidationError(f"c_lepski must be > 0, got {c_lepski}")
-    check_sigma(sigma)
-    n = _integer("n", n)
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    sigma, n = check_sigma(sigma), check_integer("n", n, 1)
     zv = np.asarray(z, dtype=np.float64)
     d = zv.size
     if d < 1:
@@ -111,17 +108,10 @@ def method1_select(z: np.ndarray) -> int:
     return int(np.argmin(scores)) + 1
 
 
-def check_subsampling(n_sub: int, frac: float):
-    if n_sub < 2:
-        raise ValidationError(f"n_sub must be >= 2, got {n_sub}")
-    if not 0.0 < frac < 1.0:
-        raise ValidationError(f"frac must lie in (0, 1), got {frac}")
-
-
 def subsample_size(n: int, n_sub: int, frac: float) -> int:
     """Rows per method-2 subsample, floor(frac * n), after checking the tuning."""
-    check_subsampling(n_sub, frac)
-    m = int(frac * n)
+    check_integer("n_sub", n_sub, 2)
+    m = int(check_fraction("frac", frac) * n)
     if m < 4:
         raise ValidationError(f"subsample of {m} rows is too small (need >= 4)")
     return m
@@ -136,7 +126,6 @@ def method2_select(Y: SignalMatrix, n_sub: int, frac: float, seed: int) -> int:
     vectorised draw would take other subsets from the stream; the drawn
     rows are sorted in one call.
     """
-    n_sub = _integer("n_sub", n_sub)
     m = subsample_size(Y.n, n_sub, frac)
     rng = np.random.default_rng(seed)
     rows = np.sort(np.stack([rng.choice(Y.n, size=m, replace=False) for _ in range(n_sub)]), axis=1)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_integer, check_real
 
 __all__ = [
     "SummaryStats",
@@ -31,25 +31,20 @@ class SummaryStats:
 
 def gaussian_tail_bound(x: float) -> float:
     """Upper bound on P(|N(0,1)| > x), capped at 1."""
-    if x < 0:
-        raise ValidationError(f"x must be >= 0, got {x}")
+    x = check_real("x", x, 0)
     return min(1.0, 2.0 * math.exp(-x * x / 2.0))
 
 
 def chi_square_tail_bound(k: int, u_sq: float) -> float:
     """Large-deviation bound on P(chi2_k >= u_sq); only claimed for u_sq >= 4k."""
-    if int(k) != k or k < 1:
-        raise ValidationError(f"k must be an integer >= 1, got {k}")
-    if u_sq < 4 * k:
-        raise ValidationError(f"bound requires u_sq >= 4k = {4 * k}, got {u_sq}")
+    u_sq = check_real("u_sq", u_sq, 4 * check_integer("k", k, 1))
     return math.exp(-u_sq / 8.0)
 
 
 def chi_square_moderate_bound(k: int, z: float) -> float:
     """Moderate-deviation bound on P(chi2_k - k > z) for z > 0."""
-    if int(k) != k or k < 1:
-        raise ValidationError(f"k must be an integer >= 1, got {k}")
-    if not z > 0:
+    k = check_integer("k", k, 1)
+    if not check_real("z", z) > 0:
         raise ValidationError(f"z must be > 0, got {z}")
     return math.exp(-z * z / (16.0 * k))
 

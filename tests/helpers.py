@@ -16,8 +16,7 @@ import math
 import numpy as np
 
 from cpkmeans._kernels import objective_table
-from cpkmeans.errors import ValidationError
-from cpkmeans.estimator import _check_t
+from cpkmeans.errors import ValidationError, check_integer
 from cpkmeans.experiments import MeanCase
 from cpkmeans.stats import summarize
 
@@ -32,7 +31,7 @@ def _check_k(Y, k: int):
 def objective_bruteforce(Y, T: int, k: int) -> float:
     """Two-segment SSE of the first T coordinates of a SignalMatrix when rows
     split after row k, by direct segment means and deviations: the kernels' oracle."""
-    _check_t(Y, T)
+    check_integer("T", T, 1, Y.d)
     _check_k(Y, k)
     first = Y.values[:k, :T]
     second = Y.values[k:, :T]

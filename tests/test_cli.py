@@ -141,6 +141,18 @@ def test_select_t_lepski_requires_sigma(tmp_path, capsys):
     assert "--sigma" in capsys.readouterr().err
 
 
+def test_select_t_infinite_c_lepski_is_rejected(tmp_path, capsys):
+    # An infinite constant used to make every window pass and print 1.
+    path = tmp_path / "y.csv"
+    write_matrix_csv(path, np.zeros((6, 4)))
+    args = ["select-t", "--input", str(path), "--method", "lepski", "--sigma", "1",
+            "--c-lepski", "inf"]
+    assert main(args) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "c_lepski must be finite" in captured.err
+
+
 @pytest.mark.parametrize("sigma", ["nan", "inf", "-0.05"])
 @pytest.mark.parametrize("method", ["lepski", "method1"])
 def test_select_t_bad_sigma_is_rejected(tmp_path, capsys, sigma, method):

@@ -1,0 +1,89 @@
+"""The input rules in ``cpkmeans.errors`` and the entry points that call them.
+
+Every check site calls one of four rules, so each input is refused the
+same way wherever it enters: an integer parameter refuses floats, even
+integral ones; a real one refuses strings, NaN and infinity.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from cpkmeans import (
+    ExperimentConfig,
+    ModelSpec,
+    SignalMatrix,
+    ValidationError,
+    chi_square_moderate_bound,
+    chi_square_tail_bound,
+    gap_squared,
+    gaussian_tail_bound,
+    lepski_select,
+    method2_select,
+    rate_psi,
+    sample_case_means,
+)
+from cpkmeans.errors import check_fraction, check_integer, check_real, check_sigma
+
+SPEC = ModelSpec(n=10, d=5, tau=0.3, theta_minus=np.zeros(5), theta_plus=np.ones(5), sigma=1.0)
+SAMPLE = SignalMatrix(np.arange(40.0).reshape(10, 4))
+CONFIG = dict(study="rate", case="rate", n_grid=(20,), d=20, t_grid=(5,))
+
+
+def test_rules_return_what_they_accept():
+    assert check_integer("T", np.int64(3), 1, 3) == 3 and type(check_integer("T", 3)) is int
+    assert check_integer("n", True, 1) == 1  # bool is an integer
+    assert type(check_real("x", np.float32(0.5))) is float and check_real("x", 2) == 2.0
+    assert check_sigma(0) == 0.0 and check_fraction("tau", 0.25) == 0.25
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: check_integer("T", 3.0), "T must be an integer, got 3.0"),
+    (lambda: check_integer("T", 0, 1, 5), "T must lie in [1, 5], got 0"),
+    (lambda: check_integer("n", 3, 4), "n must be >= 4, got 3"),
+    (lambda: check_real("x", "1"), "x must be finite and real, got '1'"),
+    (lambda: check_real("x", math.inf), "x must be finite and real, got inf"),
+    (lambda: check_real("x", -1.0, 0), "x must be finite and >= 0, got -1.0"),
+    (lambda: check_sigma(math.nan), "sigma must be finite and >= 0, got nan"),
+    (lambda: check_fraction("frac", 1.0), "frac must lie in (0, 1), got 1.0"),
+])
+def test_rules_refuse_with_the_parameter_name(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message
+
+
+# Each input slipped through a drifted copy of a rule, or raised a bare
+# TypeError, before every check site called the rules.
+@pytest.mark.parametrize("name, call", [
+    ("T", lambda: gap_squared(SPEC, 3.0)),
+    ("k", lambda: chi_square_tail_bound(3.0, 20)),
+    ("k", lambda: chi_square_moderate_bound(3.0, 1.0)),
+    ("d", lambda: sample_case_means("caseA", 5.0, np.random.default_rng(0))),
+    ("sigma", lambda: rate_psi(100, 10, 1.0, math.nan)),
+    ("delta_t_sq", lambda: rate_psi(100, 10, math.nan, 1.0)),
+    ("n", lambda: rate_psi(100.5, 10, 1.0, 1.0)),
+    ("c_lepski", lambda: lepski_select(np.full(5, 0.01), 10, 1.0, c_lepski=math.inf)),
+    ("c_lepski", lambda: lepski_select(np.full(5, 0.01), 10, 1.0, c_lepski="16")),
+    ("x", lambda: gaussian_tail_bound(math.nan)),
+    ("tau", lambda: ExperimentConfig(**CONFIG, tau="0.5")),
+    ("sigma", lambda: ExperimentConfig(**CONFIG, sigma="1")),
+    ("frac", lambda: ExperimentConfig(**CONFIG, frac="0.8")),
+    ("n_grid", lambda: ExperimentConfig(**{**CONFIG, "n_grid": 100})),
+    ("tau", lambda: ModelSpec(**{**SPEC.__dict__, "tau": "0.3"})),
+    ("sigma", lambda: ModelSpec(**{**SPEC.__dict__, "sigma": "1"})),
+    ("frac", lambda: method2_select(SAMPLE, 5, "0.8", 0)),
+], ids=lambda x: x if isinstance(x, str) else "")
+def test_every_input_is_refused_by_its_rule(name, call):
+    with pytest.raises(ValidationError, match=f"^{name} must "):
+        call()
+
+
+def test_rules_keep_valid_values_as_stored_types():
+    # The config and the spec keep the float their rule returns.
+    config = ExperimentConfig(**CONFIG, tau=np.float64(0.25), sigma=1, frac=np.float32(0.5))
+    assert (type(config.tau), type(config.sigma), type(config.frac)) == (float,) * 3
+    assert (config.tau, config.sigma, config.frac) == (0.25, 1.0, 0.5)
+    spec = ModelSpec(**{**SPEC.__dict__, "tau": np.float64(0.3), "sigma": 2})
+    assert (type(spec.tau), type(spec.sigma), spec.sigma) == (float, float, 2.0)

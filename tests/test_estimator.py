@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +104,26 @@ def test_sweep_singleton_matches_single_fit():
     k_hat, table = sweep_estimate(y, [1])
     assert k_hat.tolist() == [single.k_hat]
     assert np.array_equal(table[0], single.objective)
+
+
+def test_sweep_of_a_fortran_ordered_sample_makes_no_copy():
+    # objective_table copies the values into its workspace in any order, so a
+    # warm sweep of an F-ordered sample allocates no n x d copy of its own.
+    values = np.random.default_rng(15).normal(size=(100, 200))
+    c_order, f_order = SignalMatrix(values), SignalMatrix(np.asfortranarray(values))
+    assert f_order.values.flags.f_contiguous
+    expected = [a.copy() for a in sweep_estimate(c_order, range(1, 201))]
+    for _ in range(2):
+        sweep_estimate(f_order, range(1, 201))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        k_hat, table = sweep_estimate(f_order, range(1, 201))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert k_hat.tobytes() == expected[0].tobytes() and table.tobytes() == expected[1].tobytes()
+    assert peak < values.nbytes, f"the sweep allocated up to {peak} bytes"
 
 
 def test_sweep_matches_independent_fits_exactly():

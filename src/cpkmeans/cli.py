@@ -246,7 +246,7 @@ def _write_summary(path, result: StudyResult):
 def _run_simulate(args) -> int:
     if args.means in {case.value for case in MeanCase}:
         sample = draw_sample(args.means, args.n, args.d, args.tau, args.sigma,
-                             np.random.default_rng(args.seed))
+                             np.random.default_rng(check_integer("seed", args.seed, 0)))
     else:
         means = read_matrix_csv(args.means)
         if means.shape[0] != 2:

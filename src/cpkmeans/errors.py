@@ -1,12 +1,16 @@
 """The package's error type and the input rules every module checks with.
 
-Each rule returns the int or float it accepts and refuses anything else
-with a ``ValidationError`` that names the parameter.
+Each rule returns the int, float or array it accepts and refuses anything
+else with a ``ValidationError`` that names the parameter.
 """
 
 import math
 import numbers
 import operator
+
+import numpy as np
+
+_INTP = np.iinfo(np.intp)
 
 
 class ValidationError(ValueError):
@@ -28,8 +32,12 @@ def check_integer(name: str, value, lo: int | None = None, hi: int | None = None
 
 def check_real(name: str, value, lo: float | None = None) -> float:
     """``value`` as a finite float, >= lo where given; a string, NaN or infinity is refused."""
-    if isinstance(value, numbers.Real) and math.isfinite(value) and (lo is None or value >= lo):
-        return float(value)
+    try:
+        real = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:  # an int beyond the float range
+        real = math.inf
+    if math.isfinite(real) and (lo is None or real >= lo):
+        return real
     bound = "real" if lo is None else f">= {lo}"
     raise ValidationError(f"{name} must be finite and {bound}, got {value!r}")
 
@@ -45,3 +53,50 @@ def check_fraction(name: str, value) -> float:
     if not 0.0 < value < 1.0:
         raise ValidationError(f"{name} must lie in (0, 1), got {value}")
     return value
+
+
+def check_integers(name: str, entry: str, values, lo: int, hi: int | None = None) -> np.ndarray:
+    """``values`` as a 1-D intp array, each ``entry`` checked as by ``check_integer``.
+
+    An integer array, or a sequence numpy unites as integers, is checked
+    at its min and max only; anything else entry by entry.  A value that
+    is not iterable is refused, and so is an entry outside the intp range.
+    """
+    try:
+        entries = list(values)
+    except TypeError:
+        raise ValidationError(f"{name} must be a sequence of integers, got {values!r}") from None
+
+    def check(x) -> int:
+        x = check_integer(entry, x, lo, hi)
+        if not _INTP.min <= x <= _INTP.max:
+            raise ValidationError(f"{entry} must fit in intp, got {x}")
+        return x
+
+    array = np.array(entries)
+    if array.ndim == 1 and array.dtype.kind in "iu":
+        if array.size:
+            check(array.min()), check(array.max())
+        return array.astype(np.intp, copy=False)
+    return np.array([check(x) for x in entries], dtype=np.intp)
+
+
+def check_vector(name: str, values) -> np.ndarray:
+    """``values`` as a non-empty, finite, 1-D float64 array, copied only to convert it.
+
+    Strings, objects and complex numbers are refused, not converted.
+    """
+    try:
+        vector = np.asarray(values)
+    except ValueError:  # a ragged nesting
+        vector = None
+    if vector is None or vector.dtype.kind not in "biuf":
+        raise ValidationError(f"{name} must be an array of reals")
+    if vector.ndim != 1:
+        raise ValidationError(f"{name} must be 1-dimensional, got ndim={vector.ndim}")
+    if not vector.size:
+        raise ValidationError(f"{name} must be non-empty")
+    vector = vector.astype(np.float64, copy=False)
+    if not np.isfinite(vector).all():
+        raise ValidationError(f"{name} must be finite")
+    return vector

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import objective_row, objective_table, row_argmins
-from .errors import ValidationError, check_integer
+from .errors import ValidationError, check_integer, check_integers
 from .model import SignalMatrix
 
 __all__ = [
@@ -57,14 +57,9 @@ def sweep_estimate(Y: SignalMatrix, T_list) -> tuple[np.ndarray, np.ndarray]:
     (d, n - 3) table, whose row T - 1 is ``estimate_tau(Y, T).objective`` bit for bit.
     ``T_list`` is any iterable of integers; a float in it is refused, not truncated.
     """
-    entries = list(T_list)
-    ts = np.array(entries)
-    if ts.dtype.kind not in "iu":  # floats, or integers numpy unites only as floats or objects
-        ts = np.array([check_integer("every T", t) for t in entries], dtype=np.intp)
+    ts = check_integers("T_list", "every T", T_list, 1, Y.d)
     if not ts.size:
         raise ValidationError("T_list must be non-empty")
-    for t in (ts.min(), ts.max()):
-        check_integer("every T", t, 1, Y.d)
     table = objective_table(Y.values)
     table.flags.writeable = False
     return row_argmins(table, ts - 1) + 2, table

@@ -29,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ValidationError, check_fraction, check_integer, check_sigma
+from .errors import ValidationError, check_fraction, check_integer, check_integers, check_sigma
 from .estimator import estimate_tau, sweep_estimate
 from .model import ModelSpec, SignalMatrix, generate_sample
 from .smoothing import method1_select, method2_select, subsample_size, surrogate
@@ -64,14 +64,6 @@ def _check_case_d(case: MeanCase, d: int) -> int:
     if case is MeanCase.CASE_B and d < 21:
         raise ValidationError(f"case B needs d >= 21, got {d}")
     return d
-
-
-def _integer_grid(name: str, entry: str, grid, lo: int, hi: int | None = None):
-    try:
-        entries = iter(grid)
-    except TypeError:
-        raise ValidationError(f"{name} must be a sequence of integers, got {grid!r}") from None
-    return tuple(check_integer(entry, x, lo, hi) for x in entries)
 
 
 def _check_distinct(name: str, grid: tuple[int, ...]):
@@ -123,8 +115,8 @@ class ExperimentConfig:
         store("sigma", check_sigma(self.sigma))
         store("n_sub", check_integer("n_sub", self.n_sub, 2))
         store("frac", check_fraction("frac", self.frac))
-        store("n_grid", _integer_grid("n_grid", "every n", self.n_grid, 4))
-        store("t_grid", _integer_grid("t_grid", "every T", self.t_grid, 1, self.d))
+        store("n_grid", tuple(check_integers("n_grid", "every n", self.n_grid, 4).tolist()))
+        store("t_grid", tuple(check_integers("t_grid", "every T", self.t_grid, 1, self.d).tolist()))
         if self.t_star is not None:
             store("t_star", check_integer("t_star", self.t_star, 1, self.d))
         if not self.n_grid:
@@ -341,6 +333,7 @@ def run_study(config: ExperimentConfig, workers: int = 1) -> StudyResult:
     selector that picks T needs a T per trial; otherwise every trial shares
     the rows' T.
     """
+    workers = check_integer("workers", workers, 1)
     trial_fn = globals()[f"_{config.study}_trial"]
     rows = config.rows
     picked = len(config._fixed_T) < len(rows)

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import _workspace
-from .errors import ValidationError, check_fraction, check_integer, check_real, check_sigma
+from .errors import (
+    ValidationError, check_fraction, check_integer, check_real, check_sigma, check_vector,
+)
 
 __all__ = [
     "ModelSpec",
@@ -29,11 +31,9 @@ __all__ = [
 
 
 def _readonly_vector(x, d: int, name: str) -> np.ndarray:
-    arr = np.array(x, dtype=np.float64, copy=True).ravel()
+    arr = check_vector(name, x).copy()
     if arr.size != d:
         raise ValidationError(f"{name} must have length d={d}, got {arr.size}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} must be finite")
     arr.flags.writeable = False
     return arr
 
@@ -120,7 +120,7 @@ def generate_sample(spec: ModelSpec, seed: int) -> SignalMatrix:
     # the workspace's "sample" memory: a study's trials share one sample's
     # memory, and a sample someone still holds is never drawn over.
     values = _workspace.empty("sample", (spec.n, spec.d))
-    np.random.default_rng(seed).standard_normal(out=values)
+    np.random.default_rng(check_integer("seed", seed, 0)).standard_normal(out=values)
     values *= spec.sigma
     values[: spec.change_index] += spec.theta_minus
     values[spec.change_index :] += spec.theta_plus

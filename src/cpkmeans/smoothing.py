@@ -23,7 +23,9 @@ import numpy as np
 # Unused here, but kept bound: tracing tools wrap smoothing.objective_table by name.
 from ._kernels import objective_table  # noqa: F401
 from ._kernels import subsample_argmins
-from .errors import ValidationError, check_fraction, check_integer, check_real, check_sigma
+from .errors import (
+    ValidationError, check_fraction, check_integer, check_real, check_sigma, check_vector,
+)
 from .estimator import ChangePointFit, estimate_tau
 from .model import SignalMatrix
 
@@ -74,10 +76,8 @@ def lepski_select(z: np.ndarray, n: int, sigma: float, c_lepski: float = C_LEPSK
     if not check_real("c_lepski", c_lepski) > 0:
         raise ValidationError(f"c_lepski must be > 0, got {c_lepski}")
     sigma, n = check_sigma(sigma), check_integer("n", n, 1)
-    zv = np.asarray(z, dtype=np.float64)
+    zv = check_vector("z", z)
     d = zv.size
-    if d < 1:
-        raise ValidationError("surrogate vector must be non-empty")
     thr = c_lepski * np.arange(1, d + 1) * (sigma * sigma / n) * math.log(max(d, n))
     csum = np.concatenate([[0.0], np.cumsum(zv * zv)])
     excess = csum[1:] - thr
@@ -94,10 +94,8 @@ def method1_select(z: np.ndarray) -> int:
     common offset does not cancel.  The complementary group is empty at
     T = d and contributes 0.
     """
-    zv = np.asarray(z, dtype=np.float64)
+    zv = check_vector("z", z)
     d = zv.size
-    if d < 1:
-        raise ValidationError("surrogate vector must be non-empty")
     zv = zv - zv[0]
     sums = np.cumsum(zv)
     squares = np.cumsum(zv * zv)
@@ -127,7 +125,7 @@ def method2_select(Y: SignalMatrix, n_sub: int, frac: float, seed: int) -> int:
     rows are sorted in one call.
     """
     m = subsample_size(Y.n, n_sub, frac)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_integer("seed", seed, 0))
     rows = np.sort(np.stack([rng.choice(Y.n, size=m, replace=False) for _ in range(n_sub)]), axis=1)
     tau_hats = (subsample_argmins(Y.values, rows) + 2) / m
     return int(np.argmin(tau_hats.var(axis=0, ddof=1))) + 1

@@ -153,6 +153,20 @@ def test_select_t_infinite_c_lepski_is_rejected(tmp_path, capsys):
     assert "c_lepski must be finite" in captured.err
 
 
+@pytest.mark.parametrize("means", ["caseB", "file"])
+def test_simulate_negative_seed_is_refused_by_name(tmp_path, capsys, means):
+    # A built-in case seeded its own generator, whose refusal named no parameter.
+    if means == "file":
+        means = tmp_path / "means.csv"
+        write_matrix_csv(means, np.zeros((2, 30)))
+    out = tmp_path / "y.csv"
+    args = ["simulate", "--n", "10", "--d", "30", "--tau", "0.3", "--sigma", "1",
+            "--means", str(means), "--seed", "-1", "--out", str(out)]
+    assert main(args) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sigma", ["nan", "inf", "-0.05"])
 @pytest.mark.parametrize("method", ["lepski", "method1"])
 def test_select_t_bad_sigma_is_rejected(tmp_path, capsys, sigma, method):

@@ -1,8 +1,9 @@
 """The input rules in ``cpkmeans.errors`` and the entry points that call them.
 
-Every check site calls one of four rules, so each input is refused the
+Every check site calls one of six rules, so each input is refused the
 same way wherever it enters: an integer parameter refuses floats, even
-integral ones; a real one refuses strings, NaN and infinity.
+integral ones; a real one refuses strings, NaN and infinity; a sequence
+of integers refuses a bare integer; a vector refuses a 2-D array.
 """
 
 import math
@@ -17,14 +18,21 @@ from cpkmeans import (
     ValidationError,
     chi_square_moderate_bound,
     chi_square_tail_bound,
+    estimate_adaptive,
     gap_squared,
     gaussian_tail_bound,
+    generate_sample,
     lepski_select,
+    method1_select,
     method2_select,
     rate_psi,
+    run_study,
     sample_case_means,
+    sweep_estimate,
 )
-from cpkmeans.errors import check_fraction, check_integer, check_real, check_sigma
+from cpkmeans.errors import (
+    check_fraction, check_integer, check_integers, check_real, check_sigma, check_vector,
+)
 
 SPEC = ModelSpec(n=10, d=5, tau=0.3, theta_minus=np.zeros(5), theta_plus=np.ones(5), sigma=1.0)
 SAMPLE = SignalMatrix(np.arange(40.0).reshape(10, 4))
@@ -36,6 +44,12 @@ def test_rules_return_what_they_accept():
     assert check_integer("n", True, 1) == 1  # bool is an integer
     assert type(check_real("x", np.float32(0.5))) is float and check_real("x", 2) == 2.0
     assert check_sigma(0) == 0.0 and check_fraction("tau", 0.25) == 0.25
+    for grid in ((3, 1), range(3, 0, -2), np.array([3, 1], dtype=np.uint8), [np.int32(3), True]):
+        ints = check_integers("g", "every g", grid, 1, 3)
+        assert ints.dtype == np.intp and ints.tolist() == [3, 1]
+    z = np.arange(3.0)
+    assert check_vector("z", z) is z  # no copy
+    assert check_vector("z", [1, 2]).dtype == np.float64
 
 
 @pytest.mark.parametrize("call, message", [
@@ -47,6 +61,17 @@ def test_rules_return_what_they_accept():
     (lambda: check_real("x", -1.0, 0), "x must be finite and >= 0, got -1.0"),
     (lambda: check_sigma(math.nan), "sigma must be finite and >= 0, got nan"),
     (lambda: check_fraction("frac", 1.0), "frac must lie in (0, 1), got 1.0"),
+    (lambda: check_integers("g", "every g", 3, 1), "g must be a sequence of integers, got 3"),
+    (lambda: check_integers("g", "every g", (1, 0), 1), "every g must be >= 1, got 0"),
+    (lambda: check_integers("g", "every g", [1, 2.0], 1), "every g must be an integer, got 2.0"),
+    (lambda: check_integers("g", "every g", [[1]], 1), "every g must be an integer, got [1]"),
+    (lambda: check_integers("g", "every g", [2**63], 1), f"every g must fit in intp, got {2**63}"),
+    (lambda: check_integers("g", "every g", np.array([2**63], dtype=np.uint64), 1),
+     f"every g must fit in intp, got {2**63}"),
+    (lambda: check_vector("z", np.zeros((1, 2))), "z must be 1-dimensional, got ndim=2"),
+    (lambda: check_vector("z", []), "z must be non-empty"),
+    (lambda: check_vector("z", [0.0, math.inf]), "z must be finite"),
+    (lambda: check_vector("z", ["1", "2"]), "z must be an array of reals"),
 ])
 def test_rules_refuse_with_the_parameter_name(call, message):
     with pytest.raises(ValidationError) as info:
@@ -74,6 +99,19 @@ def test_rules_refuse_with_the_parameter_name(call, message):
     ("tau", lambda: ModelSpec(**{**SPEC.__dict__, "tau": "0.3"})),
     ("sigma", lambda: ModelSpec(**{**SPEC.__dict__, "sigma": "1"})),
     ("frac", lambda: method2_select(SAMPLE, 5, "0.8", 0)),
+    ("T_list", lambda: sweep_estimate(SAMPLE, 5)),
+    ("z", lambda: lepski_select(np.ones((2, 3)), 10, 1.0)),
+    ("z", lambda: method1_select(np.ones((2, 3)))),
+    ("z", lambda: method1_select([1.0, math.nan, 2.0])),
+    ("theta_minus", lambda: ModelSpec(**{**SPEC.__dict__, "theta_minus": np.zeros((1, 5))})),
+    # An int beyond the float range raised OverflowError.
+    pytest.param("delta_t_sq", lambda: rate_psi(100, 10, 10**400, 1.0), id="delta_t_sq-overflow"),
+    pytest.param("c_lepski", lambda: estimate_adaptive(SAMPLE, 1.0, c_lepski=10**400),
+                 id="c_lepski-overflow"),
+    pytest.param("z", lambda: chi_square_moderate_bound(3, 10**400), id="z-overflow"),
+    ("seed", lambda: generate_sample(SPEC, 1.5)),
+    ("seed", lambda: method2_select(SAMPLE, 5, 0.8, 1.5)),
+    ("workers", lambda: run_study(ExperimentConfig(**CONFIG), 1.5)),
 ], ids=lambda x: x if isinstance(x, str) else "")
 def test_every_input_is_refused_by_its_rule(name, call):
     with pytest.raises(ValidationError, match=f"^{name} must "):

@@ -179,6 +179,16 @@ def test_sweep_keeps_order_and_repeats():
         assert np.array_equal(table[t - 1], estimate_tau(y, t).objective)
 
 
+def test_sweep_gives_one_k_hat_for_a_tuple_a_range_and_an_intp_array():
+    # A study's sweep passes a tuple of its T; a library caller, a range or an array.
+    y = _random_matrix(np.random.default_rng(22), n=30, d=40)
+    k_hat = sweep_estimate(y, tuple(range(1, 41)))[0]
+    assert k_hat.dtype == np.intp
+    for T_list in (range(1, 41), np.arange(1, 41, dtype=np.intp)):
+        assert np.array_equal(sweep_estimate(y, T_list)[0], k_hat)
+    assert k_hat.tolist() == [estimate_tau(y, t).k_hat for t in range(1, 41)]
+
+
 def test_sweep_noiseless_recovers_tau_everywhere():
     rng = np.random.default_rng(15)
     tm = rng.normal(size=6)

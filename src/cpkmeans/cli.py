@@ -97,10 +97,9 @@ def _fmt(x) -> str:
 
 
 def write_matrix_csv(path, values: np.ndarray):
+    # A repr'd float never needs quoting: one line per row, fields joined by ",".
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in np.atleast_2d(values):
-            writer.writerow([_fmt(v) for v in row])
+        fh.writelines(",".join(map(_fmt, row.tolist())) + "\r\n" for row in np.atleast_2d(values))
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -171,6 +170,14 @@ def _build_experiment(args) -> tuple[str, ExperimentConfig, int]:
     return config.study, config, args.workers
 
 
+# Every file is written in the csv module's default dialect: fields joined
+# by ",", lines ended by "\r\n", and only a field holding one of ',"\r\n'
+# quoted.  No number does, and this guard checks that no text field does.
+def _check_unquoted(config: ExperimentConfig):
+    texts = (config.study, config.case.value, *(tag for _, tag in config.rows))
+    assert not any(set(',"\r\n').intersection(text) for text in texts)
+
+
 _RECORD_HEADER = ["trial_index", "n", "T", "tau_true", "tau_hat", "abs_error", "selector"]
 _SUMMARY_HEADER = [
     "study", "case", "n", "T", "selector", "count", "mean", "median", "variance", "std_dev",
@@ -203,10 +210,9 @@ def _write_records(path, result: StudyResult):
     # operations as the study's.  Keying on the float is exact: the only
     # equal floats that repr tells apart are 0.0 and -0.0, and tau_hat lies
     # in (0, 1).  Each record is one f-string, and blocks of trials go out as
-    # one string each.  csv.writer would add nothing but its "\r\n": no field
-    # needs quoting (every selector heads a summary group).
-    assert not any(set(',"\r\n').intersection(tag) for _, _, tag in result.summary)
+    # one string each.
     config = result.config
+    _check_unquoted(config)
     pair = _Texts(lambda x: f"{_fmt(x)},{_fmt(abs(x - config.tau))}").__getitem__
     tau_text = _fmt(config.tau)
     tails = [f",{tag}\r\n" for _, tag in config.rows]
@@ -226,21 +232,17 @@ def _write_records(path, result: StudyResult):
             fh.write("".join(lines))
 
 
-def _summary_row(stats):
-    return [stats.count, _fmt(stats.mean), _fmt(stats.median),
-            _fmt(stats.variance), _fmt(stats.std_dev)]
-
-
 def _write_summary(path, result: StudyResult):
     config = result.config
+    _check_unquoted(config)
+    head = f"{config.study},{config.case.value}"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SUMMARY_HEADER)
-        for (n, T, selector), stats in result.summary.items():
-            writer.writerow(
-                [config.study, config.case.value, n, "" if T is None else T, selector]
-                + _summary_row(stats)
-            )
+        fh.write(",".join(_SUMMARY_HEADER) + "\r\n")
+        fh.writelines(
+            f"{head},{n},{'' if T is None else T},{selector},{s.count},{_fmt(s.mean)},"
+            f"{_fmt(s.median)},{_fmt(s.variance)},{_fmt(s.std_dev)}\r\n"
+            for (n, T, selector), s in result.summary.items()
+        )
 
 
 def _run_simulate(args) -> int:

@@ -10,6 +10,8 @@ import operator
 
 import numpy as np
 
+__all__ = ["ValidationError"]
+
 _INTP = np.iinfo(np.intp)
 
 

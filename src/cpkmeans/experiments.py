@@ -21,6 +21,7 @@ record columns from it on demand.
 
 from __future__ import annotations
 
+import collections
 import functools
 import hashlib
 import math
@@ -68,7 +69,7 @@ def _check_case_d(case: MeanCase, d: int) -> int:
 
 def _check_distinct(name: str, grid: tuple[int, ...]):
     # A repeated grid point reruns the same seeded trials and counts them twice.
-    repeated = sorted({x for x in grid if grid.count(x) > 1})
+    repeated = sorted(x for x, count in collections.Counter(grid).items() if count > 1)
     if repeated:
         raise ValidationError(f"{name} repeats {repeated}")
 

@@ -30,12 +30,10 @@ from .estimator import ChangePointFit, estimate_tau
 from .model import SignalMatrix
 
 __all__ = [
-    "C_LEPSKI",
     "surrogate",
     "lepski_select",
     "method1_select",
     "method2_select",
-    "subsample_size",
     "estimate_adaptive",
 ]
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_integer, check_real
+from .errors import ValidationError, check_integer, check_real, check_vector
 
 __all__ = [
     "SummaryStats",
@@ -16,7 +16,6 @@ __all__ = [
     "chi_square_moderate_bound",
     "fit_line",
     "summarize",
-    "summarize_columns",
 ]
 
 
@@ -51,8 +50,7 @@ def chi_square_moderate_bound(k: int, z: float) -> float:
 
 def fit_line(xs, ys) -> tuple[float, float]:
     """Ordinary least-squares (slope, intercept)."""
-    x = np.asarray(xs, dtype=np.float64).ravel()
-    y = np.asarray(ys, dtype=np.float64).ravel()
+    x, y = check_vector("xs", xs), check_vector("ys", ys)
     if x.size != y.size:
         raise ValidationError(f"length mismatch: {x.size} vs {y.size}")
     if x.size < 2:

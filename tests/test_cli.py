@@ -55,6 +55,27 @@ def test_matrix_csv_round_trip(tmp_path):
     assert np.array_equal(read_matrix_csv(path), values)
 
 
+def _csv_writer_bytes(path, values):
+    # The reference: the csv module's own writer, every float formatted by _fmt.
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        for row in np.atleast_2d(values):
+            writer.writerow([_fmt(v) for v in row])
+    return Path(path).read_bytes()
+
+
+@pytest.mark.parametrize("values, expected", [
+    (np.array([[-0.0, 1e-05, 1e300], [0.1, -1e-05, -1e300]]),
+     b"-0.0,1e-05,1e+300\r\n0.1,-1e-05,-1e+300\r\n"),
+    (np.array([[1.0], [-0.0], [9.999999999999999e-06]]),
+     b"1.0\r\n-0.0\r\n9.999999999999999e-06\r\n"),
+], ids=["signed-zero-and-extremes", "one-column"])
+def test_write_matrix_csv_writes_the_csv_writer_bytes(tmp_path, values, expected):
+    write_matrix_csv(tmp_path / "m.csv", values)
+    got = (tmp_path / "m.csv").read_bytes()
+    assert got == expected == _csv_writer_bytes(tmp_path / "ref.csv", values)
+
+
 def test_simulate_then_estimate_round_trip(tmp_path, capsys):
     means = tmp_path / "means.csv"
     write_matrix_csv(means, np.array([[1.0, 0.0], [0.0, 1.0]]))

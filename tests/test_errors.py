@@ -19,6 +19,7 @@ from cpkmeans import (
     chi_square_moderate_bound,
     chi_square_tail_bound,
     estimate_adaptive,
+    fit_line,
     gap_squared,
     gaussian_tail_bound,
     generate_sample,
@@ -112,6 +113,9 @@ def test_rules_refuse_with_the_parameter_name(call, message):
     ("seed", lambda: generate_sample(SPEC, 1.5)),
     ("seed", lambda: method2_select(SAMPLE, 5, 0.8, 1.5)),
     ("workers", lambda: run_study(ExperimentConfig(**CONFIG), 1.5)),
+    # fit_line flattened a 2-D xs, returning (1.3, -0.5), and fitted a NaN to (nan, nan).
+    ("xs", lambda: fit_line([[1, 2], [3, 4]], [1, 2, 3, 5])),
+    ("xs", lambda: fit_line([1, 2, math.nan], [1, 2, 3])),
 ], ids=lambda x: x if isinstance(x, str) else "")
 def test_every_input_is_refused_by_its_rule(name, call):
     with pytest.raises(ValidationError, match=f"^{name} must "):

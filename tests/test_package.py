@@ -1,0 +1,63 @@
+"""The package's public names: each module's ``__all__`` is the one list of them."""
+
+import importlib
+
+import pytest
+
+import cpkmeans
+
+MODULES = ["errors", "model", "estimator", "smoothing", "stats", "experiments"]
+
+# The reference: the names the package exported before its list was built
+# from the modules' own lists.
+PUBLIC = [
+    "ValidationError",
+    "ModelSpec",
+    "SignalMatrix",
+    "generate_sample",
+    "gap_squared",
+    "rate_psi",
+    "ChangePointFit",
+    "estimate_tau",
+    "sweep_estimate",
+    "surrogate",
+    "lepski_select",
+    "method1_select",
+    "method2_select",
+    "estimate_adaptive",
+    "SummaryStats",
+    "gaussian_tail_bound",
+    "chi_square_tail_bound",
+    "chi_square_moderate_bound",
+    "fit_line",
+    "summarize",
+    "MeanCase",
+    "ExperimentConfig",
+    "StudyResult",
+    "derive_trial_seed",
+    "sample_case_means",
+    "draw_sample",
+    "run_study",
+    "run_regression_study",
+]
+
+
+def test_package_exports_the_reference_names():
+    assert cpkmeans.__all__ == PUBLIC
+    namespace = {}
+    exec("from cpkmeans import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(PUBLIC)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_listed_name_resolves_to_its_module_object(module):
+    mod = importlib.import_module(f"cpkmeans.{module}")
+    for name in mod.__all__:
+        assert getattr(cpkmeans, name) is getattr(mod, name)
+
+
+def test_each_name_is_listed_by_exactly_one_module():
+    listed = [name for module in MODULES
+              for name in importlib.import_module(f"cpkmeans.{module}").__all__]
+    assert sorted(listed) == sorted(PUBLIC)
+

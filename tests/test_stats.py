@@ -109,11 +109,11 @@ def test_fit_line_affine_equivariance():
 
 
 def test_fit_line_validation():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="need at least 2 points"):
         fit_line([1.0], [2.0])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="xs are all identical; slope undefined"):
         fit_line([1.0, 1.0], [2.0, 3.0])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="length mismatch: 2 vs 1"):
         fit_line([1.0, 2.0], [2.0])
 
 

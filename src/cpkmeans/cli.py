@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``simulate`` (write a sample matrix CSV), ``estimate``
-(change-point fit of a matrix CSV), ``select-t`` (truncation-level
-selection), ``experiment`` (run a configured study, writing records.csv
-and summary.csv).  Exit codes: 0 success, 2 validation or usage error,
+(change-point fit of a matrix CSV), ``select-t lepski | method1 | method2``
+(truncation-level selection, each selector taking only the tuning it
+reads), ``experiment`` (run a configured study, writing records.csv and
+summary.csv).  Exit codes: 0 success, 2 validation or usage error,
 3 I/O failure.
 
 Matrix CSVs carry one signal per row, no header.  Mean files carry two
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, check_integer, check_sigma
+from .errors import ValidationError, check_integer
 from .estimator import estimate_tau
 from .experiments import (
     ExperimentConfig,
@@ -44,7 +45,8 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 
 
-def build_parser() -> argparse.ArgumentParser:
+def parse_invocation(argv) -> argparse.Namespace:
+    """Parse argv into an invocation; argparse reports usage errors with exit 2."""
     parser = argparse.ArgumentParser(prog="cpkmeans")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -53,29 +55,28 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--d", type=int, required=True)
     sim.add_argument("--tau", type=float, required=True)
     sim.add_argument("--sigma", type=float, required=True)
-    sim.add_argument(
-        "--means",
-        required=True,
-        help="rate | caseA | caseB, or a CSV file with two mean rows",
-    )
+    sim.add_argument("--means", required=True,
+                     help="rate | caseA | caseB, or a CSV file with two mean rows")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", required=True)
 
-    est = sub.add_parser("estimate", help="fit the change point of a matrix CSV")
-    est.add_argument("--input", required=True)
+    matrix = argparse.ArgumentParser(add_help=False)  # --input of estimate and each selector
+    matrix.add_argument("--input", required=True)
+    est = sub.add_parser("estimate", parents=[matrix], help="fit the change point of a matrix CSV")
     est.add_argument("--T", type=int, required=True)
     est.add_argument("--trace", action="store_true", help="also print the per-k objective")
 
     sel = sub.add_parser("select-t", help="select the truncation level for a matrix CSV")
-    sel.add_argument("--input", required=True)
-    sel.add_argument(
-        "--sigma", type=float, default=None, help="noise level; lepski needs it"
-    )
-    sel.add_argument("--method", required=True, choices=["lepski", "method1", "method2"])
-    sel.add_argument("--c-lepski", type=float, default=C_LEPSKI, dest="c_lepski")
-    sel.add_argument("--n-sub", type=int, default=100, dest="n_sub")
-    sel.add_argument("--frac", type=float, default=0.8)
-    sel.add_argument("--seed", type=int, default=0)
+    # One subcommand per selector, each with only the flags that selector reads.
+    selectors = sel.add_subparsers(dest="selector", required=True)
+    lep = selectors.add_parser("lepski", parents=[matrix], help="windowed-energy rule")
+    lep.add_argument("--sigma", type=float, required=True, help="noise level")
+    lep.add_argument("--c-lepski", type=float, default=C_LEPSKI, dest="c_lepski")
+    selectors.add_parser("method1", parents=[matrix], help="two-regime split of the surrogate")
+    m2 = selectors.add_parser("method2", parents=[matrix], help="subsample variance")
+    m2.add_argument("--n-sub", type=int, default=100, dest="n_sub")
+    m2.add_argument("--frac", type=float, default=0.8)
+    m2.add_argument("--seed", type=int, default=0)
 
     exp = sub.add_parser("experiment", help="run a configured study")
     exp.add_argument("--config", required=True)
@@ -83,13 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--trials", type=int, default=None)
     exp.add_argument("--seed", type=int, default=None)
     exp.add_argument("--workers", type=int, default=1)
-
-    return parser
-
-
-def parse_invocation(argv) -> argparse.Namespace:
-    """Parse argv into an invocation; argparse reports usage errors with exit 2."""
-    return build_parser().parse_args(argv)
+    return parser.parse_args(argv)
 
 
 def _fmt(x) -> str:
@@ -105,9 +100,14 @@ def write_matrix_csv(path, values: np.ndarray):
 def read_matrix_csv(path) -> np.ndarray:
     rows = []
     with open(path, newline="") as fh:
-        for line in csv.reader(fh):
-            if line:
+        reader = csv.reader(fh)
+        for line in filter(None, reader):  # blank lines skipped
+            try:
                 rows.append([float(v) for v in line])
+                if len(line) != len(rows[0]):
+                    raise ValueError(f"{len(line)} fields, the first row has {len(rows[0])}")
+            except ValueError as exc:
+                raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise ValidationError(f"no data in {path}")
     return np.asarray(rows, dtype=np.float64)
@@ -116,8 +116,10 @@ def read_matrix_csv(path) -> np.ndarray:
 def _parse_int_list(text: str) -> tuple[int, ...]:
     text = text.strip()
     if ":" in text:
-        lo, hi = text.split(":")
-        return tuple(range(int(lo), int(hi) + 1))
+        lo, hi = map(int, text.split(":"))
+        if lo <= hi:
+            return tuple(range(lo, hi + 1))
+        raise ValueError(text)
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
@@ -272,14 +274,11 @@ def _run_estimate(args) -> int:
 
 
 def _run_select_t(args) -> int:
-    if args.method == "lepski" and args.sigma is None:
-        raise ValidationError("--sigma is required for --method lepski")
-    if args.sigma is not None:
-        check_sigma(args.sigma)
+    # Each selector checks the tuning it reads by the rules in errors.py.
     sample = SignalMatrix(read_matrix_csv(args.input))
-    if args.method == "lepski":
+    if args.selector == "lepski":
         t_hat = lepski_select(surrogate(sample), sample.n, args.sigma, args.c_lepski)
-    elif args.method == "method1":
+    elif args.selector == "method1":
         t_hat = method1_select(surrogate(sample))
     else:
         t_hat = method2_select(sample, args.n_sub, args.frac, args.seed)

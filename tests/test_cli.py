@@ -55,6 +55,29 @@ def test_matrix_csv_round_trip(tmp_path):
     assert np.array_equal(read_matrix_csv(path), values)
 
 
+def test_read_matrix_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("1,2\n\n3,4\n\n")
+    assert read_matrix_csv(path).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+@pytest.mark.parametrize(
+    "text, lineno, message",
+    [
+        ("1,2\n\n3,4\n5\n", 4, "1 fields, the first row has 2"),
+        ("1,2\n3,4,5\n", 2, "3 fields, the first row has 2"),
+        ("1,2\n3,abc\n", 2, "could not convert string to float: 'abc'"),
+    ],
+    ids=["short-row", "long-row", "not-a-number"],
+)
+def test_matrix_csv_bad_row_is_refused_by_file_and_line(tmp_path, capsys, text, lineno, message):
+    # numpy's "inhomogeneous shape" and a bare float() error used to name neither.
+    path = tmp_path / "y.csv"
+    path.write_text(text)
+    assert main(["estimate", "--input", str(path), "--T", "1"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {path}:{lineno}: {message}\n"
+
+
 def _csv_writer_bytes(path, values):
     # The reference: the csv module's own writer, every float formatted by _fmt.
     with open(path, "w", newline="") as fh:
@@ -125,10 +148,20 @@ def test_estimate_trace_output(tmp_path, capsys):
     assert len(lines) == 2 + 4  # k in {2, ..., 5}
 
 
+def _refused_by_argparse(capsys, argv) -> str:
+    """argv's usage error: exit 2 with nothing on stdout; returns stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
 def test_select_t_lepski_zero_matrix(tmp_path, capsys):
     path = tmp_path / "y.csv"
     write_matrix_csv(path, np.zeros((6, 4)))
-    assert main(["select-t", "--input", str(path), "--sigma", "1.0", "--method", "lepski"]) == EXIT_OK
+    assert main(["select-t", "lepski", "--input", str(path), "--sigma", "1.0"]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "1"
 
 
@@ -136,8 +169,8 @@ def test_select_t_method2_deterministic(tmp_path, capsys):
     rng = np.random.default_rng(71)
     path = tmp_path / "y.csv"
     write_matrix_csv(path, rng.normal(size=(20, 5)))
-    args = ["select-t", "--input", str(path), "--sigma", "1.0", "--method", "method2",
-            "--n-sub", "8", "--frac", "0.8", "--seed", "3"]
+    args = ["select-t", "method2", "--input", str(path), "--n-sub", "8", "--frac", "0.8",
+            "--seed", "3"]
     assert main(args) == EXIT_OK
     first = capsys.readouterr().out
     assert main(args) == EXIT_OK
@@ -148,26 +181,26 @@ def test_select_t_method2_needs_no_sigma(tmp_path, capsys):
     rng = np.random.default_rng(72)
     path = tmp_path / "y.csv"
     write_matrix_csv(path, rng.normal(size=(20, 5)))
-    args = ["select-t", "--input", str(path), "--method", "method2", "--n-sub", "8"]
+    args = ["select-t", "method2", "--input", str(path), "--n-sub", "8"]
     assert main(args) == EXIT_OK
-    without = capsys.readouterr().out
-    assert main(args + ["--sigma", "1.0"]) == EXIT_OK
-    assert capsys.readouterr().out == without
+    assert capsys.readouterr().out.strip().isdigit()
+    # Method 2 reads no sigma, so the flag is refused rather than ignored.
+    assert "unrecognized arguments: --sigma 1.0" in _refused_by_argparse(
+        capsys, args + ["--sigma", "1.0"])
 
 
 def test_select_t_lepski_requires_sigma(tmp_path, capsys):
     path = tmp_path / "y.csv"
     write_matrix_csv(path, np.zeros((6, 4)))
-    assert main(["select-t", "--input", str(path), "--method", "lepski"]) == EXIT_VALIDATION
-    assert "--sigma" in capsys.readouterr().err
+    err = _refused_by_argparse(capsys, ["select-t", "lepski", "--input", str(path)])
+    assert "required: --sigma" in err
 
 
 def test_select_t_infinite_c_lepski_is_rejected(tmp_path, capsys):
     # An infinite constant used to make every window pass and print 1.
     path = tmp_path / "y.csv"
     write_matrix_csv(path, np.zeros((6, 4)))
-    args = ["select-t", "--input", str(path), "--method", "lepski", "--sigma", "1",
-            "--c-lepski", "inf"]
+    args = ["select-t", "lepski", "--input", str(path), "--sigma", "1", "--c-lepski", "inf"]
     assert main(args) == EXIT_VALIDATION
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -191,30 +224,63 @@ def test_simulate_negative_seed_is_refused_by_name(tmp_path, capsys, means):
 @pytest.mark.parametrize("sigma", ["nan", "inf", "-0.05"])
 @pytest.mark.parametrize("method", ["lepski", "method1"])
 def test_select_t_bad_sigma_is_rejected(tmp_path, capsys, sigma, method):
+    # Lepski refuses the value by the sigma rule; method 1 reads no sigma,
+    # so argparse refuses the flag itself.
     path = tmp_path / "y.csv"
     write_matrix_csv(path, np.zeros((6, 4)))
-    args = ["select-t", "--input", str(path), f"--sigma={sigma}", "--method", method]
+    args = ["select-t", method, "--input", str(path), f"--sigma={sigma}"]
+    if method == "method1":
+        err = _refused_by_argparse(capsys, args)
+        assert f"unrecognized arguments: --sigma={sigma}" in err
+        return
     assert main(args) == EXIT_VALIDATION
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "sigma must be finite and >= 0" in captured.err
 
 
-def test_select_t_method1_ignores_sigma(tmp_path, capsys):
-    # Method 1 reads only the surrogate's z, which sigma does not change.
+def test_select_t_method1_refuses_sigma(tmp_path, capsys):
+    # Method 1 reads only the surrogate's z, which sigma does not change, so
+    # it takes no --sigma at all.
     rng = np.random.default_rng(73)
     path = tmp_path / "y.csv"
     values = rng.normal(size=(30, 12))
     values[15:, :4] += 2.0
     write_matrix_csv(path, values)
-    args = ["select-t", "--input", str(path), "--method", "method1"]
-    outputs = []
-    for extra in ([], ["--sigma", "1.0"], ["--sigma", "5.0"]):
-        assert main(args + extra) == EXIT_OK
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0].strip().isdigit()
-    assert outputs[1] == outputs[0]
-    assert outputs[2] == outputs[0]
+    args = ["select-t", "method1", "--input", str(path)]
+    assert main(args) == EXIT_OK
+    assert capsys.readouterr().out.strip().isdigit()
+    for sigma in ("1.0", "5.0"):
+        assert "unrecognized arguments: --sigma" in _refused_by_argparse(
+            capsys, args + ["--sigma", sigma])
+
+
+@pytest.mark.parametrize(
+    "selector, flag",
+    [
+        (selector, flag)
+        for selector, read in (
+            ("lepski", {"--sigma", "--c-lepski"}),
+            ("method1", set()),
+            ("method2", {"--n-sub", "--frac", "--seed"}),
+        )
+        for flag in ("--sigma", "--c-lepski", "--n-sub", "--frac", "--seed")
+        if flag not in read
+    ],
+)
+def test_select_t_refuses_flags_its_selector_does_not_read(tmp_path, capsys, selector, flag):
+    # Each of these 10 (selector, flag) pairs used to be accepted and ignored.
+    path = tmp_path / "y.csv"
+    write_matrix_csv(path, np.zeros((6, 4)))
+    args = ["select-t", selector, "--input", str(path), flag, "3"]
+    if selector == "lepski":
+        args += ["--sigma", "1"]
+    assert f"unrecognized arguments: {flag} 3" in _refused_by_argparse(capsys, args)
+
+
+def test_select_t_needs_a_selector(capsys):
+    err = _refused_by_argparse(capsys, ["select-t", "--input", "y.csv"])
+    assert "lepski" in err and "method2" in err
 
 
 def test_estimate_validation_exit(tmp_path, capsys):
@@ -469,6 +535,9 @@ def test_experiment_config_trailing_comments_are_ignored(tmp_path):
         ("trials=2", "trials=2.5", 5),
         ("t_grid=10", "t_grid=1:2:3", 10),
         ("n_grid=20,40", "n_grid=20;40", 6),
+        # A backwards range used to parse to an empty grid.
+        ("t_grid=10", "t_grid=200:1", 10),
+        ("n_grid=20,40", "n_grid=4000:500", 6),
     ],
 )
 def test_experiment_bad_number_names_key_and_line(tmp_path, capsys, line, replacement, lineno):
@@ -527,6 +596,11 @@ def test_experiment_sweep_config_range_syntax(tmp_path, capsys):
     assert "t_star=" in capsys.readouterr().out
     rows = (out / "summary.csv").read_text().strip().splitlines()
     assert len(rows) == 1 + 25
+
+
+def test_parse_int_list_range_of_one_value():
+    assert cli._parse_int_list("5:5") == (5,)
+    assert cli._parse_int_list(" 2:4 ") == (2, 3, 4)
 
 
 def test_experiment_selection_config_needs_no_t_grid(tmp_path, capsys):

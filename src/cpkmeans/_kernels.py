@@ -21,9 +21,10 @@ whose order depends only on n; P_k and the sums over T are running
 sums), so the partial kernels equal the table's row and its per-subset
 argmins bit for bit.  ``tests/test_kernels.py`` checks the table against
 the direct formula in ``tests/helpers.py`` and each partial kernel
-against the table; ``studybench/run.py --trace 1`` times all three in
-the studies.  ``row_argmins`` takes the argmins of chosen table rows,
-as a sweep needs.
+against the table.  ``studybench/run.py --trace 1`` times only
+``objective_table``, the sweep's kernel, so the traced ``kernel.*``
+metrics of rate and selection, whose fits call the other two, read 0.
+``row_argmins`` takes the argmins of chosen table rows, as a sweep needs.
 
 The table, the row and ``row_argmins`` take every buffer they make, the
 returned table included, from a per-thread workspace, and so does

@@ -7,9 +7,9 @@ reads), ``experiment`` (run a configured study, writing records.csv and
 summary.csv).  Exit codes: 0 success, 2 validation or usage error,
 3 I/O failure.
 
-Matrix CSVs carry one signal per row, no header.  Mean files carry two
-rows (pre-change, post-change).  Experiment configs are flat
-``key=value`` text; integer lists accept ``a,b,c`` and ``a:b`` forms.
+Matrix CSVs carry one signal per row of finite reals, no header.  Mean
+files carry two rows (pre-change, post-change).  Experiment configs are
+flat ``key=value`` text; integer lists accept ``a,b,c`` and ``a:b`` forms.
 Floats are printed with ``repr`` so files round-trip exactly and reruns
 are byte-identical.
 """
@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, check_integer
+from .errors import ValidationError, check_array, check_integer
 from .estimator import estimate_tau
 from .experiments import (
     ExperimentConfig,
@@ -103,7 +103,7 @@ def read_matrix_csv(path) -> np.ndarray:
         reader = csv.reader(fh)
         for line in filter(None, reader):  # blank lines skipped
             try:
-                rows.append([float(v) for v in line])
+                rows.append(check_array("row", [float(v) for v in line]))
                 if len(line) != len(rows[0]):
                     raise ValueError(f"{len(line)} fields, the first row has {len(rows[0])}")
             except ValueError as exc:

@@ -83,22 +83,22 @@ def check_integers(name: str, entry: str, values, lo: int, hi: int | None = None
     return np.array([check(x) for x in entries], dtype=np.intp)
 
 
-def check_vector(name: str, values) -> np.ndarray:
-    """``values`` as a non-empty, finite, 1-D float64 array, copied only to convert it.
+def check_array(name: str, values, ndim: int = 1) -> np.ndarray:
+    """``values`` as a non-empty, finite, ``ndim``-D float64 array, copied only to convert it.
 
     Strings, objects and complex numbers are refused, not converted.
     """
     try:
-        vector = np.asarray(values)
+        array = np.asarray(values)
     except ValueError:  # a ragged nesting
-        vector = None
-    if vector is None or vector.dtype.kind not in "biuf":
+        array = None
+    if array is None or array.dtype.kind not in "biuf":
         raise ValidationError(f"{name} must be an array of reals")
-    if vector.ndim != 1:
-        raise ValidationError(f"{name} must be 1-dimensional, got ndim={vector.ndim}")
-    if not vector.size:
+    if array.ndim != ndim:
+        raise ValidationError(f"{name} must be {ndim}-dimensional, got ndim={array.ndim}")
+    if not array.size:
         raise ValidationError(f"{name} must be non-empty")
-    vector = vector.astype(np.float64, copy=False)
-    if not np.isfinite(vector).all():
+    array = array.astype(np.float64, copy=False)
+    if not np.isfinite(array).all():
         raise ValidationError(f"{name} must be finite")
-    return vector
+    return array

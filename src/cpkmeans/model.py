@@ -18,7 +18,7 @@ import numpy as np
 
 from ._kernels import _workspace
 from .errors import (
-    ValidationError, check_fraction, check_integer, check_real, check_sigma, check_vector,
+    ValidationError, check_array, check_fraction, check_integer, check_real, check_sigma,
 )
 
 __all__ = [
@@ -31,7 +31,7 @@ __all__ = [
 
 
 def _readonly_vector(x, d: int, name: str) -> np.ndarray:
-    arr = check_vector(name, x).copy()
+    arr = check_array(name, x).copy()
     if arr.size != d:
         raise ValidationError(f"{name} must have length d={d}, got {arr.size}")
     arr.flags.writeable = False
@@ -69,13 +69,8 @@ class ModelSpec:
 
 
 def _checked_matrix(arr: np.ndarray) -> np.ndarray:
-    """A float64 array made read-only after the checks every signal matrix passes."""
-    if arr.ndim != 2:
-        raise ValidationError(f"values must be 2-dimensional, got ndim={arr.ndim}")
+    """A float64 matrix that passed the array rule, made read-only once it has n >= 4 rows."""
     check_integer("n", arr.shape[0], 4)
-    check_integer("d", arr.shape[1], 1)
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("all entries must be finite")
     arr.flags.writeable = False
     return arr
 
@@ -91,17 +86,14 @@ class SignalMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64, copy=True)
+        arr = check_array("values", self.values, ndim=2).copy(order="K")  # F order stays
         object.__setattr__(self, "values", _checked_matrix(arr))
 
     @classmethod
     def _adopt(cls, values: np.ndarray) -> SignalMatrix:
-        """Wrap a float64 array that no one else holds, without copying it.
-
-        The array passes the same checks and becomes read-only.
-        """
+        """Wrap, uncopied, a float64 array no one else holds; it is checked and made read-only."""
         matrix = object.__new__(cls)
-        object.__setattr__(matrix, "values", _checked_matrix(values))
+        object.__setattr__(matrix, "values", _checked_matrix(check_array("values", values, ndim=2)))
         return matrix
 
     @property

@@ -24,7 +24,7 @@ import numpy as np
 from ._kernels import objective_table  # noqa: F401
 from ._kernels import subsample_argmins
 from .errors import (
-    ValidationError, check_fraction, check_integer, check_real, check_sigma, check_vector,
+    ValidationError, check_array, check_fraction, check_integer, check_real, check_sigma,
 )
 from .estimator import ChangePointFit, estimate_tau
 from .model import SignalMatrix
@@ -74,7 +74,7 @@ def lepski_select(z: np.ndarray, n: int, sigma: float, c_lepski: float = C_LEPSK
     if not check_real("c_lepski", c_lepski) > 0:
         raise ValidationError(f"c_lepski must be > 0, got {c_lepski}")
     sigma, n = check_sigma(sigma), check_integer("n", n, 1)
-    zv = check_vector("z", z)
+    zv = check_array("z", z)
     d = zv.size
     thr = c_lepski * np.arange(1, d + 1) * (sigma * sigma / n) * math.log(max(d, n))
     csum = np.concatenate([[0.0], np.cumsum(zv * zv)])
@@ -92,7 +92,7 @@ def method1_select(z: np.ndarray) -> int:
     common offset does not cancel.  The complementary group is empty at
     T = d and contributes 0.
     """
-    zv = check_vector("z", z)
+    zv = check_array("z", z)
     d = zv.size
     zv = zv - zv[0]
     sums = np.cumsum(zv)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_integer, check_real, check_vector
+from .errors import ValidationError, check_array, check_integer, check_real
 
 __all__ = [
     "SummaryStats",
@@ -50,7 +50,7 @@ def chi_square_moderate_bound(k: int, z: float) -> float:
 
 def fit_line(xs, ys) -> tuple[float, float]:
     """Ordinary least-squares (slope, intercept)."""
-    x, y = check_vector("xs", xs), check_vector("ys", ys)
+    x, y = check_array("xs", xs), check_array("ys", ys)
     if x.size != y.size:
         raise ValidationError(f"length mismatch: {x.size} vs {y.size}")
     if x.size < 2:
@@ -67,9 +67,15 @@ def summarize(values) -> SummaryStats:
     """Mean, median, unbiased variance and standard deviation of a sample.
 
     The median for even counts is the midpoint of the two central order
-    statistics; a single value has variance 0.
+    statistics, NaN as in ``np.median``; a single value has variance 0.
     """
-    return summarize_columns(np.asarray(values, dtype=np.float64).reshape(-1, 1))[0]
+    try:
+        sample = np.asarray(values)
+    except ValueError:  # a ragged nesting
+        sample = None
+    if sample is None or sample.ndim != 1 or sample.dtype.kind not in "biuf":
+        raise ValidationError("values must be a 1-D array of reals")
+    return summarize_columns(sample[:, None])[0]
 
 
 def _median(rows: np.ndarray):

@@ -67,15 +67,36 @@ def test_read_matrix_csv_skips_blank_lines(tmp_path):
         ("1,2\n\n3,4\n5\n", 4, "1 fields, the first row has 2"),
         ("1,2\n3,4,5\n", 2, "3 fields, the first row has 2"),
         ("1,2\n3,abc\n", 2, "could not convert string to float: 'abc'"),
+        ("1,2\n3,nan\n", 2, "row must be finite"),
+        ("1,2\n3,4\n\ninf,5\n", 4, "row must be finite"),
+        ("-inf,2\n3,4\n", 1, "row must be finite"),
     ],
-    ids=["short-row", "long-row", "not-a-number"],
+    ids=["short-row", "long-row", "not-a-number", "nan", "inf", "-inf"],
 )
 def test_matrix_csv_bad_row_is_refused_by_file_and_line(tmp_path, capsys, text, lineno, message):
-    # numpy's "inhomogeneous shape" and a bare float() error used to name neither.
+    # numpy's "inhomogeneous shape" and a bare float() error used to name
+    # neither, and SignalMatrix refused a non-finite field with a bare
+    # "all entries must be finite".
     path = tmp_path / "y.csv"
     path.write_text(text)
     assert main(["estimate", "--input", str(path), "--T", "1"]) == EXIT_VALIDATION
     assert capsys.readouterr().err == f"error: {path}:{lineno}: {message}\n"
+
+
+@pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", [
+    ["select-t", "method1", "--input", "{path}"],
+    ["simulate", "--n", "10", "--d", "2", "--tau", "0.3", "--sigma", "1",
+     "--means", "{path}", "--out", "{out}"],
+], ids=["select-t", "simulate-means"])
+def test_non_finite_csv_field_is_refused_by_file_and_line(tmp_path, capsys, command, field):
+    path, out = tmp_path / "m.csv", tmp_path / "y.csv"
+    path.write_text(f"1,0\n0,{field}\n")
+    args = [arg.format(path=path, out=out) for arg in command]
+    assert main(args) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {path}:2: row must be finite\n")
+    assert not out.exists()
 
 
 def _csv_writer_bytes(path, values):

@@ -3,7 +3,9 @@
 Every check site calls one of six rules, so each input is refused the
 same way wherever it enters: an integer parameter refuses floats, even
 integral ones; a real one refuses strings, NaN and infinity; a sequence
-of integers refuses a bare integer; a vector refuses a 2-D array.
+of integers refuses a bare integer; an array, vector or matrix alike,
+refuses the wrong number of dimensions, complex entries, no entries and
+NaN.
 """
 
 import math
@@ -32,7 +34,7 @@ from cpkmeans import (
     sweep_estimate,
 )
 from cpkmeans.errors import (
-    check_fraction, check_integer, check_integers, check_real, check_sigma, check_vector,
+    check_array, check_fraction, check_integer, check_integers, check_real, check_sigma,
 )
 
 SPEC = ModelSpec(n=10, d=5, tau=0.3, theta_minus=np.zeros(5), theta_plus=np.ones(5), sigma=1.0)
@@ -48,9 +50,10 @@ def test_rules_return_what_they_accept():
     for grid in ((3, 1), range(3, 0, -2), np.array([3, 1], dtype=np.uint8), [np.int32(3), True]):
         ints = check_integers("g", "every g", grid, 1, 3)
         assert ints.dtype == np.intp and ints.tolist() == [3, 1]
-    z = np.arange(3.0)
-    assert check_vector("z", z) is z  # no copy
-    assert check_vector("z", [1, 2]).dtype == np.float64
+    for z in (np.arange(3.0), np.ones((4, 2))):
+        assert check_array("z", z, z.ndim) is z  # no copy
+    assert check_array("z", [1, 2]).dtype == np.float64
+    assert check_array("values", [[1, 2]], ndim=2).dtype == np.float64
 
 
 @pytest.mark.parametrize("call, message", [
@@ -69,10 +72,14 @@ def test_rules_return_what_they_accept():
     (lambda: check_integers("g", "every g", [2**63], 1), f"every g must fit in intp, got {2**63}"),
     (lambda: check_integers("g", "every g", np.array([2**63], dtype=np.uint64), 1),
      f"every g must fit in intp, got {2**63}"),
-    (lambda: check_vector("z", np.zeros((1, 2))), "z must be 1-dimensional, got ndim=2"),
-    (lambda: check_vector("z", []), "z must be non-empty"),
-    (lambda: check_vector("z", [0.0, math.inf]), "z must be finite"),
-    (lambda: check_vector("z", ["1", "2"]), "z must be an array of reals"),
+    (lambda: check_array("z", np.zeros((1, 2))), "z must be 1-dimensional, got ndim=2"),
+    (lambda: check_array("z", []), "z must be non-empty"),
+    (lambda: check_array("z", [0.0, math.inf]), "z must be finite"),
+    (lambda: check_array("z", ["1", "2"]), "z must be an array of reals"),
+    (lambda: check_array("v", [[0.0, 1.0], [-math.inf, math.nan]], 2), "v must be finite"),
+    (lambda: check_array("v", np.zeros((4, 2, 1)), 2), "v must be 2-dimensional, got ndim=3"),
+    (lambda: check_array("v", np.zeros((0, 3)), 2), "v must be non-empty"),
+    (lambda: check_array("v", np.ones((4, 2), dtype=complex), 2), "v must be an array of reals"),
 ])
 def test_rules_refuse_with_the_parameter_name(call, message):
     with pytest.raises(ValidationError) as info:
@@ -105,6 +112,11 @@ def test_rules_refuse_with_the_parameter_name(call, message):
     ("z", lambda: method1_select(np.ones((2, 3)))),
     ("z", lambda: method1_select([1.0, math.nan, 2.0])),
     ("theta_minus", lambda: ModelSpec(**{**SPEC.__dict__, "theta_minus": np.zeros((1, 5))})),
+    # SignalMatrix kept the real part of a complex matrix, warning only with
+    # a ComplexWarning, and converted a matrix of numeric strings.
+    ("values", lambda: SignalMatrix(np.ones((4, 2)) + 1j)),
+    ("values", lambda: SignalMatrix([["1", "2"]] * 4)),
+    ("values", lambda: SignalMatrix(np.array([[0.0, math.nan]] * 4))),
     # An int beyond the float range raised OverflowError.
     pytest.param("delta_t_sq", lambda: rate_psi(100, 10, 10**400, 1.0), id="delta_t_sq-overflow"),
     pytest.param("c_lepski", lambda: estimate_adaptive(SAMPLE, 1.0, c_lepski=10**400),

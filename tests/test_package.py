@@ -1,6 +1,8 @@
-"""The package's public names: each module's ``__all__`` is the one list of them."""
+"""The package's public names: each module's ``__all__`` is the one list of
+them, and the console script pyproject.toml declares resolves."""
 
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -61,3 +63,13 @@ def test_each_name_is_listed_by_exactly_one_module():
               for name in importlib.import_module(f"cpkmeans.{module}").__all__]
     assert sorted(listed) == sorted(PUBLIC)
 
+
+def test_console_script_target_is_callable():
+    # CI runs ``python -m cpkmeans.cli``, never the installed ``cpkmeans``
+    # command, so only this test notices a renamed entry point.
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert set(scripts) == {"cpkmeans"}
+    module, _, attr = scripts["cpkmeans"].partition(":")
+    assert callable(getattr(importlib.import_module(module), attr))

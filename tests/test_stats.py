@@ -143,6 +143,11 @@ def test_summarize_mc_sanity():
 def test_summarize_empty_errors():
     with pytest.raises(ValidationError):
         summarize([])
+    # A 2-D sample was flattened into 4 values, and a string raised numpy's
+    # bare ValueError.
+    for sample in ([[1, 2], [3, 4]], "abc", [[1], [2, 3]], ["1", "2"], [1 + 2j]):
+        with pytest.raises(ValidationError, match="^values must be a 1-D array of reals$"):
+            summarize(sample)
 
 
 @pytest.mark.parametrize(

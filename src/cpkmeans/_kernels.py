@@ -24,10 +24,11 @@ the direct formula in ``tests/helpers.py`` and each partial kernel
 against the table.  ``studybench/run.py --trace 1`` times only
 ``objective_table``, the sweep's kernel, so the traced ``kernel.*``
 metrics of rate and selection, whose fits call the other two, read 0.
-``row_argmins`` takes the argmins of chosen table rows, as a sweep needs.
+The table comes back row-contiguous, so a sweep takes the argmin of
+every row without a copy.
 
-The table, the row and ``row_argmins`` take every buffer they make, the
-returned table included, from a per-thread workspace, and so does
+The table and the row take every buffer they make, the returned table
+included, from a per-thread workspace, and so does
 ``model.generate_sample`` for its draw.  A buffer is asked for by role
 and shape, and the role gets back the memory it last handed out if that
 is large enough and no array on it is alive, and new memory otherwise.
@@ -109,8 +110,7 @@ def objective_table(values: np.ndarray) -> np.ndarray:
     table : float64 array of shape (d, n - 3)
         ``table[T - 1, k - 2]`` is ``W(k, T)``: the total squared deviation
         of rows 1..k from their mean plus rows k+1..n from theirs, over the
-        first T coordinates.  It is the transpose of a C-ordered
-        (n - 3, d) block, so each row is a strided view of it.
+        first T coordinates.
     """
     n, d = values.shape
     ks = np.arange(2, n - 1)
@@ -129,7 +129,10 @@ def objective_table(values: np.ndarray) -> np.ndarray:
     np.cumsum(out, axis=1, out=out)
     out *= _weights(n)[:, None]
     np.subtract(tss, out, out=out)
-    return out.T
+    # The centring product is dead, so its memory takes the rows of the table.
+    table = _workspace.empty("scratch", (d, n - 3))
+    np.copyto(table, out.T)
+    return table
 
 
 def objective_row(values: np.ndarray, T: int) -> np.ndarray:
@@ -164,19 +167,6 @@ def objective_row(values: np.ndarray, T: int) -> np.ndarray:
     for t in range(1, T):
         energy += cusum[t]
     return tss - energy * _weights(n)
-
-
-def row_argmins(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """First argmin of each listed row: ``table[rows].argmin(axis=1)``.
-
-    ``argmin``, fancy indexing and ``np.take`` each copy a table whose
-    rows are not contiguous, as the transposed output of
-    ``objective_table`` is; the table is copied into the workspace
-    instead, and every row's argmin taken there.
-    """
-    contiguous = _workspace.empty("scratch", table.shape)
-    np.copyto(contiguous, table)
-    return contiguous.argmin(axis=1)[rows]
 
 
 def subsample_argmins(values: np.ndarray, rows: np.ndarray) -> np.ndarray:

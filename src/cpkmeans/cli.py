@@ -120,7 +120,7 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         if lo <= hi:
             return tuple(range(lo, hi + 1))
         raise ValueError(text)
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    return tuple(int(tok) for tok in text.split(","))  # int("") refuses an empty entry
 
 
 def read_config_file(path) -> dict[str, tuple[int, str]]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import objective_row, objective_table, row_argmins
+from ._kernels import objective_row, objective_table
 from .errors import ValidationError, check_integer, check_integers
 from .model import SignalMatrix
 
@@ -61,5 +61,7 @@ def sweep_estimate(Y: SignalMatrix, T_list) -> tuple[np.ndarray, np.ndarray]:
     if not ts.size:
         raise ValidationError("T_list must be non-empty")
     table = objective_table(Y.values)
+    # Before the table turns read-only: numpy's argmin copies a read-only array.
+    k_hat = table.argmin(axis=1)[ts - 1] + 2
     table.flags.writeable = False
-    return row_argmins(table, ts - 1) + 2, table
+    return k_hat, table

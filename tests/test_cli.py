@@ -61,6 +61,14 @@ def test_read_matrix_csv_skips_blank_lines(tmp_path):
     assert read_matrix_csv(path).tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
+def test_read_matrix_csv_of_blank_lines_is_refused(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("\n\n\n")
+    with pytest.raises(ValidationError) as info:
+        read_matrix_csv(path)
+    assert str(info.value) == f"no data in {path}"
+
+
 @pytest.mark.parametrize(
     "text, lineno, message",
     [
@@ -242,6 +250,19 @@ def test_simulate_negative_seed_is_refused_by_name(tmp_path, capsys, means):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rows", [1, 3])
+def test_simulate_means_file_needs_two_rows(tmp_path, capsys, rows):
+    means, out = tmp_path / "means.csv", tmp_path / "y.csv"
+    write_matrix_csv(means, np.zeros((rows, 3)))
+    args = ["simulate", "--n", "10", "--d", "3", "--tau", "0.3", "--sigma", "1",
+            "--means", str(means), "--out", str(out)]
+    assert main(args) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: means file must have exactly 2 rows, got {rows}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sigma", ["nan", "inf", "-0.05"])
 @pytest.mark.parametrize("method", ["lepski", "method1"])
 def test_select_t_bad_sigma_is_rejected(tmp_path, capsys, sigma, method):
@@ -314,6 +335,18 @@ def test_estimate_validation_exit(tmp_path, capsys):
 def test_estimate_missing_input_is_io_error(tmp_path, capsys):
     assert main(["estimate", "--input", str(tmp_path / "nope.csv"), "--T", "1"]) == EXIT_IO
     capsys.readouterr()
+
+
+def test_module_entry_point_exits_with_the_run_code(tmp_path):
+    # ``python -m cpkmeans.cli`` is how the study benchmark runs every workload.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cpkmeans.cli", "estimate", "--input", "missing.csv", "--T", "1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == EXIT_IO
+    assert proc.stdout == "" and proc.stderr.startswith("i/o error: ")
 
 
 def test_experiment_unreadable_config_is_usage_error(tmp_path, capsys):
@@ -559,6 +592,10 @@ def test_experiment_config_trailing_comments_are_ignored(tmp_path):
         # A backwards range used to parse to an empty grid.
         ("t_grid=10", "t_grid=200:1", 10),
         ("n_grid=20,40", "n_grid=4000:500", 6),
+        # Empty entries used to be dropped without a word.
+        ("n_grid=20,40", "n_grid=500,,1000,", 6),
+        ("t_grid=10", "t_grid=10,", 10),
+        ("t_grid=10", "t_grid=", 10),
     ],
 )
 def test_experiment_bad_number_names_key_and_line(tmp_path, capsys, line, replacement, lineno):
@@ -583,6 +620,15 @@ def test_cli_import_loads_no_process_pool():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_experiment_config_line_without_equals_is_rejected(tmp_path, capsys):
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text(RATE_CFG + "tau 0.5\n")
+    out = tmp_path / "run"
+    assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    assert f"{cfg}:11: expected key=value, got 'tau 0.5'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_experiment_repeated_config_key_is_rejected(tmp_path, capsys):

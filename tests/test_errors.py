@@ -80,6 +80,7 @@ def test_rules_return_what_they_accept():
     (lambda: check_array("v", np.zeros((4, 2, 1)), 2), "v must be 2-dimensional, got ndim=3"),
     (lambda: check_array("v", np.zeros((0, 3)), 2), "v must be non-empty"),
     (lambda: check_array("v", np.ones((4, 2), dtype=complex), 2), "v must be an array of reals"),
+    (lambda: check_array("rows", [[0.0, 1.0], [2.0]], 2), "rows must be an array of reals"),  # ragged
 ])
 def test_rules_refuse_with_the_parameter_name(call, message):
     with pytest.raises(ValidationError) as info:

@@ -126,6 +126,27 @@ def test_sweep_of_a_fortran_ordered_sample_makes_no_copy():
     assert peak < values.nbytes, f"the sweep allocated up to {peak} bytes"
 
 
+def _warm_peak(call):
+    for _ in range(2):
+        call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_takes_its_argmins_without_copying_the_table():
+    # numpy's argmin copies a read-only array, so a sweep that froze its
+    # table before the argmins would peak a table's bytes (155 KB) higher.
+    values = np.random.default_rng(16).normal(size=(100, 200))
+    y = SignalMatrix(values)
+    table_peak = _warm_peak(lambda: objective_table(y.values))
+    sweep_peak = _warm_peak(lambda: sweep_estimate(y, range(1, 201)))
+    assert sweep_peak < table_peak + 16_000, (sweep_peak, table_peak)
+
+
 def test_sweep_matches_independent_fits_exactly():
     rng = np.random.default_rng(14)
     y = _random_matrix(rng, n=30, d=10)

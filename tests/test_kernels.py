@@ -4,8 +4,8 @@ import threading
 import numpy as np
 import pytest
 
-from cpkmeans import _kernels
-from cpkmeans._kernels import objective_row, objective_table, row_argmins, subsample_argmins
+from cpkmeans import SignalMatrix, _kernels, estimate_tau, sweep_estimate
+from cpkmeans._kernels import objective_row, objective_table, subsample_argmins
 from helpers import objective_table_reference
 
 
@@ -153,14 +153,20 @@ def test_objective_row_large_offset(offset):
         assert np.array_equal(objective_row(values, T), _truncated_table_row(values, T))
 
 
-def test_row_argmins_match_fancy_indexed_argmin():
+def test_sweep_argmins_match_fixed_t_fits():
     rng = np.random.default_rng(57)
     # Mirrored 0/1 rows give table rows with bit-equal minima past k = 2.
     half = rng.integers(0, 2, size=(10, 12)).astype(np.float64)
     for values in (rng.normal(size=(100, 200)), np.vstack([half, half[::-1]])):
-        table = objective_table(values)
-        for rows in (np.arange(table.shape[0]), np.array([4, 0, 4, 2]), np.array([1])):
-            assert np.array_equal(row_argmins(table, rows), table[rows].argmin(axis=1))
+        y = SignalMatrix(values)
+        fits = [estimate_tau(y, T) for T in range(1, y.d + 1)]
+        for ts in (np.arange(1, y.d + 1), np.array([5, 1, 5, 3]), np.array([2])):
+            k_hat, table = sweep_estimate(y, ts)
+            assert table.shape == (y.d, y.n - 3)
+            assert table.flags.c_contiguous and not table.flags.writeable
+            assert k_hat.tolist() == [fits[T - 1].k_hat for T in ts]
+            for T in ts:
+                assert table[T - 1].tobytes() == fits[T - 1].objective.tobytes()
 
 
 def _workspace_memory():
@@ -176,17 +182,19 @@ def test_results_never_share_memory_with_the_workspace():
     a, b = rng.normal(size=(60, 30)), rng.normal(size=(60, 30))
     table_a, row_a = objective_table(a), objective_row(a, 7)
     table_a_copy, row_a_copy = table_a.copy(), row_a.copy()
-    argmins_a = row_argmins(table_a, np.arange(30))
+    argmins_a, swept_a = sweep_estimate(SignalMatrix(a), range(1, 31))
+    swept_a_copy = swept_a.copy()
     assert _workspace_memory()
     # Only memory the workspace sees as alive, and so will not hand out, holds a result.
     for buffer, alive in _workspace_memory().values():
-        for result in (table_a, row_a, argmins_a):
+        for result in (table_a, row_a, argmins_a, swept_a):
             assert alive or not np.shares_memory(result, buffer)
     # A second call on other data, through the same workspace, leaves the first results alone.
     objective_table(b), objective_row(b, 7), objective_row(b, 30)
-    row_argmins(objective_table(b), np.arange(30))
+    sweep_estimate(SignalMatrix(b), range(1, 31))
     assert np.array_equal(table_a, table_a_copy)
     assert np.array_equal(row_a, row_a_copy)
+    assert np.array_equal(swept_a, swept_a_copy)
 
 
 def test_workspace_buffers_are_reused_across_shapes():
@@ -257,10 +265,12 @@ def test_table_memory_is_reused_only_once_no_view_of_it_is_alive():
     table_b = objective_table(b)
     assert not np.shares_memory(row, table_b)
     assert np.array_equal(row, expected_a[4])
-    memory = _kernels._workspace.handed["table"][0]
+    # The returned table lives on the memory of the scratch role.
+    memory = _kernels._workspace.handed["scratch"][0]
+    assert np.shares_memory(table_b, np.frombuffer(memory))
     del row, table_b
     table_a = objective_table(a)
-    assert _kernels._workspace.handed["table"][0] is memory
+    assert _kernels._workspace.handed["scratch"][0] is memory
     assert np.array_equal(table_a, expected_a)
     assert np.array_equal(objective_table(b), expected_b)
     assert np.array_equal(table_a, expected_a)

@@ -169,6 +169,11 @@ def _build_experiment(args) -> tuple[str, ExperimentConfig, int]:
         if override is not None:
             fields[key] = override
     config = ExperimentConfig(**fields)
+    # `experiment` reports a rate study by its slope over n; run_study itself
+    # takes one n, so the check is the command's, made before the first trial.
+    if config.study == "rate" and len(config.n_grid) < 2:
+        raise ValidationError(
+            f"rate study needs at least 2 sample sizes, got n_grid={config.n_grid}")
     return config.study, config, args.workers
 
 

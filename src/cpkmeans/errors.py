@@ -7,6 +7,7 @@ else with a ``ValidationError`` that names the parameter.
 import math
 import numbers
 import operator
+import sys
 
 import numpy as np
 
@@ -83,10 +84,12 @@ def check_integers(name: str, entry: str, values, lo: int, hi: int | None = None
     return np.array([check(x) for x in entries], dtype=np.intp)
 
 
-def check_array(name: str, values, ndim: int = 1) -> np.ndarray:
+def check_array(name: str, values, ndim: int = 1, limit=None) -> np.ndarray:
     """``values`` as a non-empty, finite, ``ndim``-D float64 array, copied only to convert it.
 
     Strings, objects and complex numbers are refused, not converted.
+    ``limit``, where given, maps the array's shape to the largest magnitude
+    an entry may have, and the refusal of a larger or non-finite one names it.
     """
     try:
         array = np.asarray(values)
@@ -99,6 +102,12 @@ def check_array(name: str, values, ndim: int = 1) -> np.ndarray:
     if not array.size:
         raise ValidationError(f"{name} must be non-empty")
     array = array.astype(np.float64, copy=False)
-    if not np.isfinite(array).all():
-        raise ValidationError(f"{name} must be finite")
+    # NaN and the infinities show in the extremes, so one min and one max pass find them.
+    lo, hi = float(array.min()), float(array.max())
+    bound = sys.float_info.max if limit is None else limit(array.shape)
+    if not -bound <= lo <= hi <= bound:  # false for NaN, and for an infinity
+        within = "" if limit is None else (
+            f" and lie in [-{bound:.4g}, {bound:.4g}] for a {array.shape} array,"
+            f" got [{lo:.4g}, {hi:.4g}]")
+        raise ValidationError(f"{name} must be finite{within}")
     return array

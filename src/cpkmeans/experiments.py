@@ -15,8 +15,9 @@ fixed T, the oracle T or a selector that picks T in every trial.
 ``_trial`` fills every row of one trial, and ``run_study`` writes each
 trial's tau_hat into one (trial, row) grid as it arrives and summarises
 each row of each n into one ``StudyResult``.  The result keeps the
-config it ran, the one record of the study's parameters, and builds the
-record columns from it on demand.
+config it ran, the one record of the study's parameters, beside the
+grid; ``cli`` lays each cell of the grid out as one record of
+records.csv.
 """
 
 from __future__ import annotations
@@ -167,9 +168,9 @@ class StudyResult:
     ``grid`` has one read-only row per trial, n by n in ``config.n_grid``
     order, and one column per row key of ``config.rows``, a (T, selector)
     pair; T is None for the selectors that pick T afresh in every trial.
-    ``T_grid`` holds each record's T: one row shared by every trial, or
-    one row per trial when a selector picks T.  The record columns, one
-    entry per row of records.csv, are built from these on access.
+    ``T_grid`` holds each cell's T: one row shared by every trial, or
+    one row per trial when a selector picks T.  Each cell is one record
+    of records.csv, whose abs_error is |tau_hat - config.tau|.
 
     ``summary`` maps (n, T, selector) to the stats of that group's
     ``abs_error``, in the order the groups first appear in the records.
@@ -179,32 +180,6 @@ class StudyResult:
     grid: np.ndarray
     T_grid: np.ndarray
     summary: dict[tuple[int, int | None, str], SummaryStats]
-
-    @property
-    def trial_index(self) -> np.ndarray:
-        c = self.config
-        return np.tile(np.repeat(np.arange(c.trials), len(c.rows)), len(c.n_grid))
-
-    @property
-    def n(self) -> np.ndarray:
-        c = self.config
-        return np.repeat(c.n_grid, c.trials * len(c.rows))
-
-    @property
-    def T(self) -> np.ndarray:
-        return np.broadcast_to(self.T_grid, self.grid.shape).flatten()
-
-    @property
-    def tau_hat(self) -> np.ndarray:
-        return self.grid.ravel()
-
-    @property
-    def abs_error(self) -> np.ndarray:
-        return np.abs(self.grid - self.config.tau).ravel()
-
-    @property
-    def selector(self) -> np.ndarray:
-        return np.tile([tag for _, tag in self.config.rows], len(self.grid))
 
     @property
     def t_star(self) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +69,18 @@ class ModelSpec:
         return min(max(int(round(self.n * self.tau)), 1), self.n - 1)
 
 
+def _kernel_limit(shape: tuple[int, int]) -> float:
+    """The largest magnitude an entry of an n x d matrix may have.
+
+    With entries in [-M, M], every intermediate of the objective kernels is
+    at most 16 n^2 d M^2: a shifted entry is at most 2M, a centred running
+    sum 4nM, and the energy sums d of their squares.  So M up to
+    sqrt(float max / (16 n^2 d)) keeps every one finite.
+    """
+    n, d = shape
+    return math.sqrt(sys.float_info.max / (16.0 * d)) / n
+
+
 def _checked_matrix(arr: np.ndarray) -> np.ndarray:
     """A float64 matrix that passed the array rule, made read-only once it has n >= 4 rows."""
     check_integer("n", arr.shape[0], 4)
@@ -86,14 +99,15 @@ class SignalMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = check_array("values", self.values, ndim=2).copy(order="K")  # F order stays
+        arr = check_array("values", self.values, 2, _kernel_limit).copy(order="K")  # F order stays
         object.__setattr__(self, "values", _checked_matrix(arr))
 
     @classmethod
     def _adopt(cls, values: np.ndarray) -> SignalMatrix:
         """Wrap, uncopied, a float64 array no one else holds; it is checked and made read-only."""
         matrix = object.__new__(cls)
-        object.__setattr__(matrix, "values", _checked_matrix(check_array("values", values, ndim=2)))
+        values = check_array("values", values, 2, _kernel_limit)
+        object.__setattr__(matrix, "values", _checked_matrix(values))
         return matrix
 
     @property
@@ -113,9 +127,11 @@ def generate_sample(spec: ModelSpec, seed: int) -> SignalMatrix:
     # memory, and a sample someone still holds is never drawn over.
     values = _workspace.empty("sample", (spec.n, spec.d))
     np.random.default_rng(check_integer("seed", seed, 0)).standard_normal(out=values)
-    values *= spec.sigma
-    values[: spec.change_index] += spec.theta_minus
-    values[spec.change_index :] += spec.theta_plus
+    # An overflow leaves an infinity, which _adopt refuses by the kernels' limit.
+    with np.errstate(over="ignore"):
+        values *= spec.sigma
+        values[: spec.change_index] += spec.theta_minus
+        values[spec.change_index :] += spec.theta_plus
     return SignalMatrix._adopt(values)
 
 

@@ -6,9 +6,10 @@ evaluates the split criterion segment by segment, the table reference
 is the objective table's direct (T, k) centred CUSUM formula, the
 method-2 oracle builds one full objective table per subsample, the
 means reference draws each case by its own branch, the sample reference
-adds a full means matrix to the scaled noise, and the
-summary reference groups the records one at a time in a dict, and the
-split's sum of squares comes from direct segment means.
+adds a full means matrix to the scaled noise, the record columns are
+built from a study's grid by tile and repeat, the summary reference
+groups those records one at a time in a dict, and the split's sum of
+squares comes from direct segment means.
 """
 
 import math
@@ -110,13 +111,28 @@ def objective_table_reference(values: np.ndarray) -> np.ndarray:
     return tss[:, None] - energy * (n / (ks * (n - ks)))
 
 
+def record_columns(result) -> dict[str, np.ndarray]:
+    """A StudyResult's records as columns, one entry per row of records.csv.
+
+    ``trial_index``, ``n``, ``T``, ``tau_hat``, ``abs_error`` and
+    ``selector``, built from the (trial, row) grid by ``np.tile`` and
+    ``np.repeat``; the file's ``tau_true`` column is ``config.tau``.
+    """
+    c, grid = result.config, result.grid
+    return {
+        "trial_index": np.tile(np.repeat(np.arange(c.trials), len(c.rows)), len(c.n_grid)),
+        "n": np.repeat(c.n_grid, c.trials * len(c.rows)),
+        "T": np.broadcast_to(result.T_grid, grid.shape).flatten(),
+        "tau_hat": grid.ravel(),
+        "abs_error": np.abs(grid - c.tau).ravel(),
+        "selector": np.tile([tag for _, tag in c.rows], len(grid)),
+    }
+
+
 def same_records(a, b) -> bool:
     """Two StudyResults hold equal record columns, element for element, of equal dtypes."""
-    columns = ("trial_index", "n", "T", "tau_hat", "abs_error", "selector")
-    return all(
-        getattr(a, c).dtype == getattr(b, c).dtype and np.array_equal(getattr(a, c), getattr(b, c))
-        for c in columns
-    )
+    a, b = record_columns(a), record_columns(b)
+    return all(a[c].dtype == b[c].dtype and np.array_equal(a[c], b[c]) for c in a)
 
 
 def generate_sample_reference(spec, seed: int) -> np.ndarray:
@@ -151,11 +167,11 @@ def summary_by_record(result) -> dict:
     Each record joins the group (n, T, selector), T None for method 1 and
     method 2, and groups keep the order in which they first appear.
     """
+    records = record_columns(result)
     groups = {}
     for i, (n, t, tag) in enumerate(
-        zip(result.n.tolist(), result.T.tolist(), result.selector.tolist())
+        zip(records["n"].tolist(), records["T"].tolist(), records["selector"].tolist())
     ):
         key = (n, None if tag in ("method1", "method2") else t, tag)
         groups.setdefault(key, []).append(i)
-    abs_error = result.abs_error  # built on every read
-    return {key: summarize(abs_error[rows]) for key, rows in groups.items()}
+    return {key: summarize(records["abs_error"][rows]) for key, rows in groups.items()}

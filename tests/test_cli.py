@@ -23,6 +23,7 @@ from cpkmeans.cli import (
     write_matrix_csv,
 )
 from cpkmeans.experiments import ExperimentConfig, draw_sample, run_study
+from helpers import record_columns
 
 
 def test_parse_estimate_invocation():
@@ -158,6 +159,22 @@ def test_simulate_draws_as_a_trial_does(tmp_path):
                  "--means", "caseB", "--seed", "5", "--out", str(out)]) == EXIT_OK
     sample = draw_sample("caseB", 20, 25, 0.3, 1.0, np.random.default_rng(5))
     assert np.array_equal(read_matrix_csv(out), sample.values)
+
+
+def test_simulate_refuses_an_overflowing_draw_without_a_numpy_warning(tmp_path):
+    # Run with the default warning filters, as a user runs it, so that a numpy
+    # overflow warning would show on stderr before the error.
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cpkmeans.cli", "simulate", "--n", "6", "--d", "3", "--tau", "0.5",
+         "--sigma", "1e308", "--means", "caseA", "--out", "y.csv"],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == EXIT_VALIDATION
+    assert proc.stdout == ""
+    assert re.fullmatch(r"error: values must be finite and lie in \[.*\]\n", proc.stderr)
+    assert not (tmp_path / "y.csv").exists()
 
 
 def test_simulate_rejects_infinite_sigma(tmp_path, capsys):
@@ -436,6 +453,21 @@ def test_experiment_bad_subsampling_is_rejected_before_trials(tmp_path, capsys, 
     assert not out.exists()
 
 
+def test_experiment_rate_with_one_size_is_rejected_before_trials(tmp_path, capsys, monkeypatch):
+    # The command reports a rate study by its slope over n, which needs two sizes.
+    ran = []
+    monkeypatch.setattr(experiments, "_rate_trial", lambda payload: ran.append(payload))
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text("study=rate\ncase=rate\nbase_seed=1\ntrials=3\nn_grid=100\nd=20\n"
+                   "tau=0.3\nt_grid=10\n")
+    out = tmp_path / "run"
+    assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: rate study needs at least 2 sample sizes, got n_grid=(100,)\n")
+    assert not out.exists()
+    assert ran == []
+
+
 @pytest.mark.parametrize(
     "study, d, extra, message",
     [
@@ -687,13 +719,15 @@ def test_experiment_selection_config_needs_no_t_grid(tmp_path, capsys):
 
 def _write_records_per_row(path, tau, result):
     # The plain writer: every float formatted where it is written.
+    records = record_columns(result)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["trial_index", "n", "T", "tau_true", "tau_hat", "abs_error", "selector"])
-        for i in range(len(result.n)):
+        for i in range(len(records["n"])):
             writer.writerow(
-                [int(result.trial_index[i]), int(result.n[i]), int(result.T[i]), _fmt(tau),
-                 _fmt(result.tau_hat[i]), _fmt(result.abs_error[i]), str(result.selector[i])]
+                [int(records["trial_index"][i]), int(records["n"][i]), int(records["T"][i]),
+                 _fmt(tau), _fmt(records["tau_hat"][i]), _fmt(records["abs_error"][i]),
+                 str(records["selector"][i])]
             )
 
 
@@ -704,7 +738,7 @@ def test_write_records_matches_per_row_writer(tmp_path, study):
         t_grid=tuple(range(1, 26)), n_sub=6, t_star=5,
     )
     result = run_study(config)
-    assert len(result.n) == (75 if study == "sweep" else 9)
+    assert len(record_columns(result)["n"]) == (75 if study == "sweep" else 9)
     _write_records(tmp_path / "fast.csv", result)
     _write_records_per_row(tmp_path / "plain.csv", config.tau, result)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()

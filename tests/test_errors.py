@@ -81,6 +81,8 @@ def test_rules_return_what_they_accept():
     (lambda: check_array("v", np.zeros((0, 3)), 2), "v must be non-empty"),
     (lambda: check_array("v", np.ones((4, 2), dtype=complex), 2), "v must be an array of reals"),
     (lambda: check_array("rows", [[0.0, 1.0], [2.0]], 2), "rows must be an array of reals"),  # ragged
+    (lambda: check_array("v", [[-3.0, 2.5]], 2, lambda shape: 2.5),
+     "v must be finite and lie in [-2.5, 2.5] for a (1, 2) array, got [-3, 2.5]"),
 ])
 def test_rules_refuse_with_the_parameter_name(call, message):
     with pytest.raises(ValidationError) as info:

@@ -20,7 +20,7 @@ from cpkmeans import (
 )
 
 from cpkmeans import experiments
-from helpers import case_means_reference, same_records, summary_by_record
+from helpers import case_means_reference, record_columns, same_records, summary_by_record
 
 
 def test_derive_trial_seed_stability():
@@ -206,14 +206,15 @@ def test_config_rejects_bad_subsampling():
     with pytest.raises(ValidationError, match="too small"):
         _case_b_config(frac=0.15)  # 3 rows of 20
     assert _case_b_config(study="sweep", frac=0.15).frac == 0.15
-    assert len(run_study(_case_b_config(trials=1, frac=0.2)).n) == 3  # 4 rows
-    assert len(run_study(_rate_config(trials=1, n_grid=(4, 20), tau=0.25)).n) == 2
+    assert len(record_columns(run_study(_case_b_config(trials=1, frac=0.2)))["n"]) == 3  # 4 rows
+    result = run_study(_rate_config(trials=1, n_grid=(4, 20), tau=0.25))
+    assert len(record_columns(result)["n"]) == 2
 
 
 def test_rate_study_zero_noise():
     result = run_study(_rate_config(trials=1, sigma=0.0))
     assert all(stats.mean == 0.0 for stats in result.summary.values())
-    assert np.all(result.abs_error == 0.0)
+    assert np.all(record_columns(result)["abs_error"] == 0.0)
 
 
 def test_rate_study_deterministic_across_workers():
@@ -225,8 +226,9 @@ def test_rate_study_deterministic_across_workers():
 
 
 def test_trial_records_stay_in_range():
-    result = run_study(_rate_config(trials=8))
-    assert np.all((0.0 <= result.abs_error) & (result.abs_error <= 1.0 - 2.0 / result.n))
+    records = record_columns(run_study(_rate_config(trials=8)))
+    abs_error = records["abs_error"]
+    assert np.all((0.0 <= abs_error) & (abs_error <= 1.0 - 2.0 / records["n"]))
 
 
 def test_regression_study_recovers_power_laws():
@@ -249,6 +251,20 @@ def test_regression_study_recovers_power_laws():
     assert slope_mean == pytest.approx(-0.5, rel=1e-9)
     with pytest.raises(ValidationError):
         run_regression_study(fake({100: 0.0, 200: 0.0, 400: 1e-3}))
+
+
+def test_t_star_breaks_a_tie_to_the_smallest_t():
+    def stats(mean):
+        return SummaryStats(mean=mean, median=mean, variance=0.0, std_dev=0.0, count=1)
+
+    # T = 3 and T = 7 share the least mean; method 1's lower mean has no fixed T.
+    keys = [(20, 7, "fixed-T"), (20, 5, "fixed-T"), (20, 3, "fixed-T"), (20, None, "method1")]
+    means = [0.125, 0.25, 0.125, 0.0625]
+    for order in (keys, keys[::-1]):
+        summary = {key: stats(means[keys.index(key)]) for key in order}
+        result = StudyResult(config=_case_b_config(study="sweep"), grid=np.empty((0, 4)),
+                             T_grid=np.empty((0, 4), int), summary=summary)
+        assert result.t_star == 3
 
 
 def _case_b_config(**overrides):
@@ -351,9 +367,9 @@ def test_config_rows_name_each_record_of_a_trial():
 
 
 def test_selection_records_share_samples_per_trial():
-    result = run_study(_case_b_config(trials=3))
+    records = record_columns(run_study(_case_b_config(trials=3)))
     by_trial = {}
-    for trial, selector in zip(result.trial_index.tolist(), result.selector.tolist()):
+    for trial, selector in zip(records["trial_index"].tolist(), records["selector"].tolist()):
         by_trial.setdefault(trial, []).append(selector)
     assert all(sorted(v) == ["method1", "method2", "oracle"] for v in by_trial.values())
 
@@ -371,7 +387,7 @@ def test_grid_summary_matches_per_record_grouping(study):
     assert list(result.summary.items()) == list(reference.items())
     rows = {"rate": 1, "sweep": 25, "selection": 3}[study]
     assert len(result.summary) == len(config.n_grid) * rows
-    assert len(result.n) == len(config.n_grid) * config.trials * rows
+    assert len(record_columns(result)["n"]) == len(config.n_grid) * config.trials * rows
 
 
 def _columns_from_batches(config):
@@ -403,13 +419,13 @@ def test_record_columns_match_per_batch_construction(study, workers):
         config = _rate_config(trials=3)
     else:
         config = _case_b_config(study=study, trials=3 if study == "sweep" else 4)
-    result = run_study(config, workers=workers)
+    records = record_columns(run_study(config, workers=workers))
     for name, expected in _columns_from_batches(config).items():
-        column = getattr(result, name)
+        column = records[name]
         assert column.dtype == expected.dtype, name
         assert np.array_equal(column, expected), name
     if study == "selection":  # the picks differ between trials
-        assert len(set(result.T[result.selector == "method2"].tolist())) > 1
+        assert len(set(records["T"][records["selector"] == "method2"].tolist())) > 1
 
 
 def test_run_study_rejects_trials_with_different_rows(monkeypatch):
@@ -436,4 +452,4 @@ def test_run_study_keys_picked_t_as_none(monkeypatch):
     )
     result = run_study(config)
     assert list(result.summary) == [(20, 5, "oracle"), (20, None, "method1"), (20, None, "method2")]
-    assert result.T.tolist() == [5, 1, 7, 5, 2, 7, 5, 3, 7]
+    assert record_columns(result)["T"].tolist() == [5, 1, 7, 5, 2, 7, 5, 3, 7]

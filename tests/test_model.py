@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ from cpkmeans import (
     ModelSpec,
     SignalMatrix,
     ValidationError,
+    estimate_tau,
     gap_squared,
     generate_sample,
     rate_psi,
+    sweep_estimate,
 )
 
 from helpers import generate_sample_reference
@@ -119,6 +122,27 @@ def test_signal_matrix_validation():
         SignalMatrix(np.zeros((3, 2)))  # too few rows
     with pytest.raises(ValidationError):
         SignalMatrix(np.array([[np.nan, 0.0]] * 4))
+
+
+def test_signal_matrix_refuses_values_whose_objective_can_overflow():
+    # The fit is scale-invariant, but the kernels square the values, and near
+    # 1e160 those squares overflow into a wrong split.
+    x = np.random.default_rng(0).standard_normal((20, 3))
+    x[12:] += 3.0
+    for scale in (1.0, 1e150):  # within sqrt(float max / (16 n^2 d)) = 9.676e151
+        sample = SignalMatrix(x * scale)
+        assert estimate_tau(sample, 3).k_hat == 12
+        assert sweep_estimate(sample, [3])[0].tolist() == [12]
+    bound = re.escape("values must be finite and lie in [-9.676e+151, 9.676e+151] for a (20, 3)")
+    with pytest.raises(ValidationError, match=bound):
+        SignalMatrix(x * 1e160)
+
+
+def test_generate_sample_refuses_an_overflowing_draw():
+    # Refused by the kernels' limit, not warned about: the tests turn warnings into errors.
+    spec = ModelSpec(n=6, d=3, tau=0.5, theta_minus=[0, 0, 0], theta_plus=[1, 1, 1], sigma=1e308)
+    with pytest.raises(ValidationError, match=re.escape("lie in [-3.225e+152, 3.225e+152]")):
+        generate_sample(spec, 0)
 
 
 def test_gap_squared_examples():

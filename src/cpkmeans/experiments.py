@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ValidationError, check_fraction, check_integer, check_integers, check_sigma
 from .estimator import estimate_tau, sweep_estimate
-from .model import ModelSpec, SignalMatrix, generate_sample
+from .model import ModelSpec, SignalMatrix, _kernel_limit, generate_sample
 from .smoothing import method1_select, method2_select, subsample_size, surrogate
 from .stats import SummaryStats, fit_line, summarize_columns
 
@@ -49,6 +49,10 @@ __all__ = [
 ]
 
 _SEED_CAP = 2**63 - 1
+# The largest |z| numpy's standard_normal can return.  Its ziggurat has
+# r = 3.6541528853610088 at the base; a tail draw is r + x with
+# x = -log(1 - U) / r, and U is at most 1 - 2**-53, so x <= 53 ln 2 / r.
+_Z_MAX = 3.6541528853610088 + 53.0 * math.log(2.0) / 3.6541528853610088  # about 13.71
 # Columns of the (trial, row) grid summarised at once: 51 KB of abs errors
 # per copy at 400 trials, where the sweep's whole grid is 640 KB.
 _SUMMARY_COLUMNS = 16
@@ -127,6 +131,15 @@ class ExperimentConfig:
         for n in self.n_grid:
             if abs(self.tau * n - round(self.tau * n)) > 1e-9:
                 raise ValidationError(f"tau * n must be integral, got tau={self.tau}, n={n}")
+        # Every mean coordinate is at most _Z_MAX of its sds from 0 (a shared
+        # post-change one at most _Z_MAX of each), and the noise at most _Z_MAX
+        # sigma, so a sigma below this bound draws no entry the kernels refuse.
+        sd_minus, sd_plus = _mean_table(self.case, self.d)[:2]
+        limit = _kernel_limit((max(self.n_grid), self.d)) / _Z_MAX - sd_minus.max() - sd_plus.max()
+        if self.sigma > limit:
+            raise ValidationError(
+                f"sigma must be at most {limit:.4g} for a {self.case.value} sample of "
+                f"n={max(self.n_grid)}, d={self.d}, got {self.sigma!r}")
         # The selection study's rows come from t_star, so it needs no t_grid.
         if not self.t_grid and self.study != "selection":
             raise ValidationError("t_grid must be non-empty")

@@ -468,6 +468,21 @@ def test_experiment_rate_with_one_size_is_rejected_before_trials(tmp_path, capsy
     assert ran == []
 
 
+def test_experiment_overflowing_sigma_is_rejected_before_trials(tmp_path, capsys):
+    # Refused by the config's sigma, before the pool starts, not by a sample's bound.
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("study=sweep\ncase=caseA\nbase_seed=1\ntrials=2\nn_grid=20\nd=5\n"
+                   "sigma=1e200\ntau=0.3\nt_grid=1:5\n")
+    out = tmp_path / "run"
+    args = ["experiment", "--config", str(cfg), "--out", str(out), "--workers", "2"]
+    assert main(args) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: sigma must be at most 5.468e+150 for a caseA sample of n=20, d=5, got 1e+200\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "study, d, extra, message",
     [

@@ -183,6 +183,19 @@ def test_config_validation():
     assert type(config.trials) is int and type(config.n_grid[0]) is int
 
 
+def test_config_refuses_a_sigma_whose_draw_can_overflow_the_kernels():
+    # Refused by name when built, not by the sample's bound inside a trial.
+    sweep = dict(study="sweep", case=MeanCase.CASE_A, n_grid=(20,), d=5, t_grid=(1, 5), trials=2)
+    with pytest.raises(ValidationError, match=r"^sigma must be at most 5\.468e\+150 for a caseA "
+                                              r"sample of n=20, d=5, got 1e\+200$"):
+        _rate_config(**sweep, sigma=1e200)
+    # The largest n sets the bound, and a sigma just inside it runs.
+    assert _rate_config(n_grid=(20,), sigma=2e150).sigma == 2e150
+    with pytest.raises(ValidationError, match=r"^sigma must be at most 1\.367e\+150 .* n=40, d=20"):
+        _rate_config(sigma=2e150)
+    assert np.isfinite(run_study(_rate_config(sigma=1.3e150)).grid).all()
+
+
 def test_only_selection_runs_without_a_t_grid():
     # The selection study's rows come from t_star; a given t_grid is still range-checked.
     config = _case_b_config(trials=2, t_grid=())

@@ -8,118 +8,99 @@ error-versus-T sweep, and wants its least-error T, T*, in [15, 60].
 The package draws case B's tail coordinate j > 20 with variance
 1/(2 (j - 20)^2), that is with sd 1/(sqrt(2) (j - 20)) (``--tail
 variance``); read as a standard deviation, the same expression gives sd
-1/(2 (j - 20)) (``--tail sd``).  This script draws each criterion's
-trials in the package's own order and from its seeds, with case B's
-means built from the chosen reading, and prints each selector's mean
-error beside its reference band, then the sweep's T* and its mean error.
-``--tail variance`` gives both criteria's numbers bit for bit.
-``--sigma`` sets the noise level; every fit and selector is invariant to
-scale, so ``--sigma 1.4142135623730951`` gives the reading in which every
-sd of the means is divided by sqrt(2).  About 12 s on one core:
+1/(2 (j - 20)) (``--tail sd``).  This script runs the shipped pipeline:
+it builds both criteria's configs and calls ``run_study``.  Under ``--tail
+sd`` it swaps case B's tail sds in the package's mean table while the
+runs last, and nothing else.  It prints each selector's mean error beside
+its reference band, then the sweep's T* and its mean error.  ``--sigma``
+sets the noise level; every fit and selector is invariant to scale, so
+``--sigma 1.4142135623730951`` gives the reading in which every sd of the
+means is divided by sqrt(2).  The runs are serial, because a pool's
+workers would not see the swapped table.  About 12 s on one core:
 
     PYTHONPATH=src python tools/criterion6.py --tail sd
 """
 
 import argparse
-import math
+import contextlib
 
 import numpy as np
 
-from cpkmeans import (
-    ModelSpec,
-    derive_trial_seed,
-    estimate_tau,
-    generate_sample,
-    method1_select,
-    method2_select,
-    summarize,
-    surrogate,
-    sweep_estimate,
-)
+from cpkmeans import ExperimentConfig, MeanCase, ValidationError, experiments, run_study
 
-BASE_SEED = 20260810
-N, D, TAU, SIGMA = 100, 200, 0.3, 1.0
-T_STAR, N_SUB, FRAC = 30, 100, 0.8
-SEED_CAP = 2**63 - 1  # the bound on every seed a trial draws
-# Each row's reference mean error; criterion 6's band is +/- 0.06.
+# The two criteria's configs, as tests/test_acceptance.py builds them.
+CASE_B = dict(base_seed=20260810, n_grid=(100,), d=200, sigma=1.0, tau=0.3, case=MeanCase.CASE_B,
+              t_grid=tuple(range(1, 201)))
+SELECTION = dict(CASE_B, study="selection", trials=300, n_sub=100, frac=0.8, t_star=30)
+SWEEP = dict(CASE_B, study="sweep", trials=500)
+# Each selector's reference mean error; criterion 6's band is +/- 0.06.
 REFERENCE = {"oracle": 0.1524, "method1": 0.2207, "method2": 0.2047}
 BAND = 0.06
-# Each criterion's trials: criterion 6's selectors, criterion 5's sweep.
-SELECTION_TRIALS, SWEEP_TRIALS = 300, 500
 SWEEP_BAND = 15, 60  # criterion 5's range for T*
 
 
-def case_b_means(tail: str, rng: np.random.Generator):
-    """Case B's theta_minus and theta_plus, drawn as ``sample_case_means``
-    draws them, with the tail's sd taken from ``tail``."""
-    lag = np.arange(21, D + 1, dtype=np.float64) - 20.0
-    tail_sd = 1.0 / (math.sqrt(2.0) * lag) if tail == "variance" else 1.0 / (2.0 * lag)
-    theta_minus = rng.normal(0.0, np.concatenate([np.full(20, math.sqrt(0.5)), tail_sd]))
-    loc = np.zeros(D)
-    loc[:20] = theta_minus[:20]
-    return theta_minus, rng.normal(loc, np.concatenate([np.full(20, 0.1), tail_sd]))
+@contextlib.contextmanager
+def tail_read_as(tail: str):
+    """While the block runs, case B's means are drawn with its tail read as ``tail``.
+
+    ``variance`` is the package's own reading and swaps nothing.  ``sd``
+    rebinds ``experiments._mean_table`` to a table whose case-B tail sds
+    are 1/(2 (j - 20)); the rate model and case A keep the shipped table.
+    """
+    shipped = experiments._mean_table
+
+    def table(case, d):
+        sd_minus, sd_plus, shared, negate = shipped(case, d)
+        if case is not MeanCase.CASE_B:
+            return sd_minus, sd_plus, shared, negate
+        tail_sd = 1.0 / (2.0 * (np.arange(21, d + 1, dtype=np.float64) - 20.0))
+        sd_minus, sd_plus = (np.concatenate([sd[:20], tail_sd]) for sd in (sd_minus, sd_plus))
+        sd_minus.flags.writeable = sd_plus.flags.writeable = False
+        return sd_minus, sd_plus, shared, negate
+
+    if tail == "sd":
+        experiments._mean_table = table
+    try:
+        yield
+    finally:
+        experiments._mean_table = shipped
 
 
-def draw(tail: str, sigma: float, trial: int, tag: str):
-    """One trial's sample as ``run_study`` draws it for the study ``tag``,
-    and the trial's generator, which goes on to seed method 2."""
-    rng = np.random.default_rng(derive_trial_seed(BASE_SEED, trial, N, 0, tag))
-    theta_minus, theta_plus = case_b_means(tail, rng)
-    spec = ModelSpec(n=N, d=D, tau=TAU, theta_minus=theta_minus, theta_plus=theta_plus,
-                     sigma=sigma)
-    return generate_sample(spec, int(rng.integers(0, SEED_CAP))), rng
+def criteria_configs(trials: int | None = None, sigma: float = CASE_B["sigma"]):
+    """Criterion 6's selection config and criterion 5's sweep config, each at
+    ``trials`` trials (default: the criterion's own count) and noise ``sigma``."""
+    override = {"sigma": sigma} if trials is None else {"sigma": sigma, "trials": trials}
+    return tuple(ExperimentConfig(**dict(keys, **override)) for keys in (SELECTION, SWEEP))
 
 
-def tau_hat_grid(tail: str, trials: int, sigma: float = SIGMA) -> np.ndarray:
-    """A (trials, 3) grid of tau_hat for the oracle, method 1 and method 2,
-    laid out as ``run_study``'s grid for criterion 6's config."""
-    grid = np.empty((trials, len(REFERENCE)))
-    for trial in range(trials):
-        sample, rng = draw(tail, sigma, trial, "selection")
-        picks = (
-            T_STAR,
-            method1_select(surrogate(sample)),
-            method2_select(sample, N_SUB, FRAC, int(rng.integers(0, SEED_CAP))),
-        )
-        grid[trial] = [estimate_tau(sample, T).tau_hat for T in picks]
-    return grid
-
-
-def sweep_grid(tail: str, trials: int, sigma: float = SIGMA) -> np.ndarray:
-    """A (trials, D) grid of tau_hat at T = 1, ..., D, laid out as
-    ``run_study``'s grid for criterion 5's config."""
-    grid = np.empty((trials, D))
-    for trial in range(trials):
-        grid[trial] = sweep_estimate(draw(tail, sigma, trial, "sweep")[0], range(1, D + 1))[0] / N
-    return grid
+def run(tail: str, configs) -> list:
+    """Each config's ``run_study`` result, with case B's tail read as ``tail``."""
+    with tail_read_as(tail):
+        return [run_study(config) for config in configs]
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--tail", choices=["variance", "sd"], required=True)
     parser.add_argument("--trials", type=int, default=None,
-                        help=f"trials of each table (default: {SELECTION_TRIALS} for the "
-                             f"selectors and {SWEEP_TRIALS} for the sweep, as the criteria run)")
-    parser.add_argument("--sigma", type=float, default=SIGMA)
+                        help=f"trials of each table (default: {SELECTION['trials']} for the "
+                             f"selectors and {SWEEP['trials']} for the sweep, as the criteria run)")
+    parser.add_argument("--sigma", type=float, default=CASE_B["sigma"])
     args = parser.parse_args(argv)
-    if args.trials is not None and args.trials < 1:
-        parser.error("--trials must be >= 1")
-    selection_trials = args.trials or SELECTION_TRIALS
-    sweep_trials = args.trials or SWEEP_TRIALS
+    try:
+        configs = criteria_configs(args.trials, args.sigma)
+    except ValidationError as exc:
+        parser.error(str(exc))
     print(f"case B, tail read as {args.tail}, sigma {args.sigma!r}; "
-          f"{selection_trials} selector trials, {sweep_trials} sweep trials")
-    grid = tau_hat_grid(args.tail, selection_trials, args.sigma)
-    for (tag, ref), column in zip(REFERENCE.items(), grid.T):
-        mean = summarize(np.abs(column - TAU)).mean
-        verdict = "in band" if abs(mean - ref) <= BAND else "out of band"
-        print(f"{tag:8} {mean:.4f}  reference {ref} +/- {BAND}  {verdict}")
-    means = [summarize(np.abs(column - TAU)).mean for column in sweep_grid(
-        args.tail, sweep_trials, args.sigma).T]
-    t_star = means.index(min(means)) + 1  # ties go to the smallest T, as in StudyResult.t_star
-    lo, hi = SWEEP_BAND
+          f"{configs[0].trials} selector trials, {configs[1].trials} sweep trials")
+    selection, sweep = run(args.tail, configs)
+    for (_, _, tag), stats in selection.summary.items():
+        verdict = "in band" if abs(stats.mean - REFERENCE[tag]) <= BAND else "out of band"
+        print(f"{tag:8} {stats.mean:.4f}  reference {REFERENCE[tag]} +/- {BAND}  {verdict}")
+    t_star, (lo, hi) = sweep.t_star, SWEEP_BAND
+    mean = sweep.summary[sweep.config.n_grid[0], t_star, "fixed-T"].mean
     verdict = "in band" if lo <= t_star <= hi else "out of band"
-    print(f"{'sweep':8} T*={t_star}, {means[t_star - 1]:.4f} at T*  reference T* in "
-          f"[{lo}, {hi}]  {verdict}")
+    print(f"{'sweep':8} T*={t_star}, {mean:.4f} at T*  reference T* in [{lo}, {hi}]  {verdict}")
 
 
 if __name__ == "__main__":

@@ -22,8 +22,12 @@ A test bounds the memory of that sweep study and of writing its
 records, as tracemalloc sees it: the result holds its grid, not one
 80,000-entry column per record field, the study summarises a few columns
 of that grid at a time, and the writer holds one block of lines at a
-time.  A last test checks that an ``experiment`` run never imports
+time.  A test checks that an ``experiment`` run never imports
 ``numpy.ma``, which ``np.median`` loads (1.1 MB) only for its NaN check.
+A last test checks that method 2 sorts nothing: in a fresh process, the
+first ``np.unique(..., return_inverse=True)`` adds about 0.45 MB of RSS
+and the first int64 ``np.sort`` about 0.25 MB, and nothing else in a
+selection run calls either.
 """
 
 import mmap
@@ -34,10 +38,13 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cpkmeans import experiments
 from cpkmeans.experiments import ExperimentConfig
+from cpkmeans.model import SignalMatrix
+from cpkmeans.smoothing import method2_select
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -184,3 +191,16 @@ def test_experiment_does_not_import_numpy_ma(tmp_path, study):
     code, masked = _fresh(_MASKED.format(config=str(config), out=str(tmp_path)))
     assert code == 0
     assert not masked, f"a {study} experiment imported numpy.ma"
+
+
+def test_method2_calls_no_sort(monkeypatch):
+    # Row masks and a count stand in for np.sort and np.unique, whose first
+    # calls would add about 0.7 MB to a selection run's peak RSS.
+    sample = SignalMatrix(np.random.default_rng(3).normal(size=(100, 200)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("method 2 sorted")
+
+    monkeypatch.setattr(np, "sort", refuse)
+    monkeypatch.setattr(np, "unique", refuse)
+    assert 1 <= method2_select(sample, 100, 0.8, 1) <= 200

@@ -79,6 +79,19 @@ def test_subsample_argmins_match_per_subset_tables(n, d, m, s):
     assert np.array_equal(got, _per_subset_argmins(values, rows))
 
 
+def test_subsample_argmins_first_rows_cover_every_start():
+    # First rows 0, 1, ..., n - m, in shuffled order: the count's top bin
+    # and every slot of the shift table are filled.
+    rng = np.random.default_rng(55)
+    n, m = 12, 4
+    values = rng.normal(size=(n, 5))
+    rows = np.stack([np.sort(rng.choice(np.arange(f + 1, n), size=m - 1, replace=False))
+                     for f in range(n - m + 1)])
+    rows = np.column_stack([np.arange(n - m + 1), rows])[rng.permutation(n - m + 1)]
+    assert rows.shape == (9, m) and sorted(rows[:, 0]) == list(range(n - m + 1))
+    assert np.array_equal(subsample_argmins(values, rows), _per_subset_argmins(values, rows))
+
+
 def test_subsample_argmins_exact_ties_keep_first_minimum():
     # 0/1 data in repeated rows: many table rows reach their minimum at
     # several splits with bit-equal values, some of them past k = 2.

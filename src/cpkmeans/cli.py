@@ -31,7 +31,6 @@ from .experiments import (
     MeanCase,
     StudyResult,
     draw_sample,
-    run_regression_study,
     run_study,
 )
 from .model import ModelSpec, SignalMatrix, generate_sample
@@ -169,30 +168,17 @@ def _build_experiment(args) -> tuple[str, ExperimentConfig, int]:
         if override is not None:
             fields[key] = override
     config = ExperimentConfig(**fields)
-    # `experiment` reports a rate study by its slope over n; run_study itself
-    # takes one n, so the check is the command's, made before the first trial.
-    if config.study == "rate" and len(config.n_grid) < 2:
-        raise ValidationError(
-            f"rate study needs at least 2 sample sizes, got n_grid={config.n_grid}")
     return config.study, config, args.workers
 
 
 # Every file is written in the csv module's default dialect: fields joined
 # by ",", lines ended by "\r\n", and only a field holding one of ',"\r\n'
-# quoted.  No number does, and this guard checks that no text field does.
-def _check_unquoted(config: ExperimentConfig):
-    texts = (config.study, config.case.value, *(tag for _, tag in config.rows))
-    assert not any(set(',"\r\n').intersection(text) for text in texts)
-
-
+# quoted.  No field does: the numbers are repr'd, and the text fields (the
+# study, the case and the row tags) are the package's own names.
 _RECORD_HEADER = ["trial_index", "n", "T", "tau_true", "tau_hat", "abs_error", "selector"]
 _SUMMARY_HEADER = [
     "study", "case", "n", "T", "selector", "count", "mean", "median", "variance", "std_dev",
 ]
-
-
-# Records per write: one write's lines are all the writer holds at once.
-_RECORD_CHUNK = 512
 
 
 class _Texts(dict):
@@ -216,32 +202,25 @@ def _write_records(path, result: StudyResult):
     # together with its abs_error, which is |tau_hat - tau| by the same IEEE
     # operations as the study's.  Keying on the float is exact: the only
     # equal floats that repr tells apart are 0.0 and -0.0, and tau_hat lies
-    # in (0, 1).  Each record is one f-string, and blocks of trials go out as
-    # one string each.
+    # in (0, 1).  Each record is one f-string, and each trial's records go
+    # out as one string.
     config = result.config
-    _check_unquoted(config)
     pair = _Texts(lambda x: f"{_fmt(x)},{_fmt(abs(x - config.tau))}").__getitem__
     tau_text = _fmt(config.tau)
     tails = [f",{tag}\r\n" for _, tag in config.rows]
     mids = [[f"{t},{tau_text}," for t in T] for T in result.T_grid.tolist()]
     trials = config.trials
-    block = max(1, _RECORD_CHUNK // len(tails))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_RECORD_HEADER) + "\r\n")
-        for start in range(0, len(result.grid), block):
-            lines = []
-            for g, tau_hats in enumerate(result.grid[start:start + block].tolist(), start):
-                head = f"{g % trials},{config.n_grid[g // trials]},"
-                lines += [
-                    f"{head}{mid}{pair(x)}{tail}"
-                    for mid, x, tail in zip(mids[g if len(mids) > 1 else 0], tau_hats, tails)
-                ]
-            fh.write("".join(lines))
+        for g, tau_hats in enumerate(result.grid):
+            head = f"{g % trials},{config.n_grid[g // trials]},"
+            fh.write("".join(
+                f"{head}{mid}{pair(x)}{tail}"
+                for mid, x, tail in zip(mids[g if len(mids) > 1 else 0], tau_hats.tolist(), tails)))
 
 
 def _write_summary(path, result: StudyResult):
     config = result.config
-    _check_unquoted(config)
     head = f"{config.study},{config.case.value}"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_SUMMARY_HEADER) + "\r\n")
@@ -292,7 +271,7 @@ def _run_select_t(args) -> int:
 
 
 def _run_experiment(args) -> int:
-    study, config, workers = _build_experiment(args)
+    _, config, workers = _build_experiment(args)
     # Refused before the first trial, not after the whole study: an --out
     # that is not a directory, or whose nearest existing ancestor is not one.
     out_dir = Path(args.out)
@@ -301,14 +280,9 @@ def _run_experiment(args) -> int:
     if not nearest.is_dir():
         raise NotADirectoryError(f"--out {out_dir}: {nearest} is not a directory")
     result = run_study(config, workers=workers)
-    if study == "rate":
-        for name, slope in zip(("slope_mean", "slope_median"), run_regression_study(result)):
-            print(f"{name}={_fmt(slope)}")
-    elif study == "sweep":
-        print(f"t_star={result.t_star}")
-    else:
-        for (_, _, tag), stats in result.summary.items():
-            print(f"{tag}_mean={_fmt(stats.mean)}")
+    # repr of a float is _fmt's text.
+    for name, value in result.headline().items():
+        print(f"{name}={value!r}")
     # Made only once the study has run, so a run that fails, such as a rate
     # study whose slope is undefined, leaves no directory.
     out_dir.mkdir(parents=True, exist_ok=True)

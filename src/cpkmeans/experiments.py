@@ -17,7 +17,8 @@ trial's tau_hat into one (trial, row) grid as it arrives and summarises
 each row of each n into one ``StudyResult``.  The result keeps the
 config it ran, the one record of the study's parameters, beside the
 grid; ``cli`` lays each cell of the grid out as one record of
-records.csv.
+records.csv, and prints the result's ``headline``, the numbers each
+study reports.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import collections
 import functools
 import hashlib
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 
@@ -45,7 +47,6 @@ __all__ = [
     "sample_case_means",
     "draw_sample",
     "run_study",
-    "run_regression_study",
 ]
 
 _SEED_CAP = 2**63 - 1
@@ -147,6 +148,10 @@ class ExperimentConfig:
         if self.study == "rate":
             if len(self.t_grid) != 1:
                 raise ValidationError("rate study uses a single fixed T")
+            # Its headline is the slope of its error over n.
+            if len(self.n_grid) < 2:
+                raise ValidationError(
+                    f"rate study needs at least 2 sample sizes, got n_grid={self.n_grid}")
         elif self.study == "sweep":
             if len(self.n_grid) != 1:
                 raise ValidationError("T sweep uses a single sample size")
@@ -194,12 +199,28 @@ class StudyResult:
     T_grid: np.ndarray
     summary: dict[tuple[int, int | None, str], SummaryStats]
 
-    @property
-    def t_star(self) -> int:
-        """The fixed T of least mean error; ties go to the smallest T."""
-        means = {T: s.mean for (_, T, _), s in self.summary.items() if T is not None}
-        best = min(means.values())
-        return min(T for T, mean in means.items() if mean == best)
+    def headline(self) -> dict[str, float | int]:
+        """The numbers the study reports, by name, in the order they print.
+
+        rate: ``slope_mean`` and ``slope_median``, the log-log slopes of the
+        mean and median error against n, zero-error points left out.
+        sweep: ``t_star``, the fixed T of least mean error; ties go to the
+        smallest T.  selection: ``{selector}_mean``, each row's mean error.
+        """
+        if self.config.study == "sweep":
+            means = {T: s.mean for (_, T, _), s in self.summary.items() if T is not None}
+            best = min(means.values())
+            return {"t_star": min(T for T, mean in means.items() if mean == best)}
+        if self.config.study == "selection":
+            return {f"{tag}_mean": float(s.mean) for (_, _, tag), s in self.summary.items()}
+        slopes = {}
+        for stat in ("mean", "median"):
+            pts = [(math.log(n), math.log(getattr(s, stat)))
+                   for (n, _, _), s in self.summary.items() if getattr(s, stat) > 0]
+            if len(pts) < 2:
+                raise ValidationError("fewer than 2 positive-error points; slope undefined")
+            slopes[f"slope_{stat}"] = fit_line(*zip(*pts))[0]
+        return slopes
 
 
 def derive_trial_seed(base_seed: int, trial_index: int, n: int, T: int, selector_tag: str) -> int:
@@ -322,7 +343,8 @@ def run_study(config: ExperimentConfig, workers: int = 1) -> StudyResult:
     selector that picks T needs a T per trial; otherwise every trial shares
     the rows' T.
     """
-    workers = check_integer("workers", workers, 1)
+    # A pool starts all its workers at once: no more than the machine has CPUs.
+    workers = check_integer("workers", workers, 1, os.cpu_count() or 1)
     trial_fn = globals()[f"_{config.study}_trial"]
     rows = config.rows
     picked = len(config._fixed_T) < len(rows)
@@ -344,18 +366,3 @@ def run_study(config: ExperimentConfig, workers: int = 1) -> StudyResult:
             errors = np.abs(block[:, lo:lo + _SUMMARY_COLUMNS] - config.tau)
             summary.update(zip(keys, summarize_columns(errors)))
     return StudyResult(config=config, grid=grid, T_grid=T_grid, summary=summary)
-
-
-def run_regression_study(result: StudyResult) -> tuple[float, float]:
-    """Log-log slopes of mean and median error against n; zero-error points drop out."""
-    slopes = []
-    for pick in (lambda s: s.mean, lambda s: s.median):
-        pts = [
-            (math.log(n), math.log(pick(s)))
-            for (n, _, _), s in result.summary.items()
-            if pick(s) > 0
-        ]
-        if len(pts) < 2:
-            raise ValidationError("fewer than 2 positive-error points; slope undefined")
-        slopes.append(fit_line([p[0] for p in pts], [p[1] for p in pts])[0])
-    return slopes[0], slopes[1]

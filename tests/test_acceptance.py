@@ -25,7 +25,6 @@ from cpkmeans import (
     gaussian_tail_bound,
     generate_sample,
     lepski_select,
-    run_regression_study,
     run_study,
 )
 from cpkmeans._kernels import objective_table
@@ -137,7 +136,8 @@ def test_criterion_4_rate_reproduction():
         case=MeanCase.RATE_MODEL,
         t_grid=(10,),
     )
-    slope_mean, slope_median = run_regression_study(run_study(config, workers=2))
+    headline = run_study(config, workers=2).headline()
+    slope_mean, slope_median = headline["slope_mean"], headline["slope_median"]
     ok = -1.45 <= slope_mean <= -0.85
     _report(
         "criterion 4", ok,
@@ -161,14 +161,15 @@ def test_criterion_5_case_b_sweep():
         t_grid=tuple(range(1, 201)),
     )
     result = run_study(config, workers=2)
+    t_star = result.headline()["t_star"]
     per_t = {T: stats for (_, T, _), stats in result.summary.items()}
-    at_star = per_t[result.t_star].mean
+    at_star = per_t[t_star].mean
     at_one = per_t[1].mean
     at_full = per_t[200].mean
-    ok = 15 <= result.t_star <= 60 and at_star < at_one and at_star < at_full
+    ok = 15 <= t_star <= 60 and at_star < at_one and at_star < at_full
     _report(
         "criterion 5", ok,
-        f"T*={result.t_star} in [15, 60]; mean error {at_star:.4f} at T* "
+        f"T*={t_star} in [15, 60]; mean error {at_star:.4f} at T* "
         f"< {at_one:.4f} at T=1 and < {at_full:.4f} at T=200",
         started, 600.0,
     )

@@ -108,8 +108,9 @@ def test_warm_sweep_study_faults():
 
 @needs_fault_counts
 def test_warm_rate_trials_faults():
-    # The rate workload's largest sample: 100 fixed-T fits at n = 4000, d = 20.
-    rate = ("run_study(config(100, study='rate', n_grid=(4000,), d=20, case='rate',"
+    # The rate workload's largest sample: 100 fixed-T fits at n = 4000, d = 20,
+    # run as a one-T sweep, which takes the rate trial's one-fit path.
+    rate = ("run_study(config(100, study='sweep', n_grid=(4000,), d=20, case='rate',"
             " t_grid=(10,)))")
     faults = _warm_faults(rate, rate)
     assert faults < 1_000, f"{faults} minor faults for 100 warm rate trials at n = 4000"
@@ -126,7 +127,7 @@ def _config(trials, **kw):
      250_000),
     # One fresh 640 KB sample would take a rate trial past 640 KB.
     (experiments._trial,
-     _config(3, study="rate", n_grid=(4000,), d=20, case="rate", t_grid=(10,)), 400_000),
+     _config(3, study="sweep", n_grid=(4000,), d=20, case="rate", t_grid=(10,)), 400_000),
 ], ids=["sweep", "rate"])
 def test_warm_trials_allocate_no_sample_or_table(trial, config, bound):
     # The fault counts' companion that does not depend on the heap's layout:

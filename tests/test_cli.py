@@ -454,7 +454,7 @@ def test_experiment_bad_subsampling_is_rejected_before_trials(tmp_path, capsys, 
 
 
 def test_experiment_rate_with_one_size_is_rejected_before_trials(tmp_path, capsys, monkeypatch):
-    # The command reports a rate study by its slope over n, which needs two sizes.
+    # A rate study reports its slope over n, so its config needs two sizes.
     ran = []
     monkeypatch.setattr(experiments, "_rate_trial", lambda payload: ran.append(payload))
     cfg = tmp_path / "rate.cfg"
@@ -490,6 +490,7 @@ def test_experiment_overflowing_sigma_is_rejected_before_trials(tmp_path, capsys
         ("selection", 25, "t_star=0", "t_star must lie in [1, 25]"),
         ("selection", 25, "t_star=26", "t_star must lie in [1, 25]"),
         ("rate", 25, "", "rate study uses a single fixed T"),
+        ("rate", 25, "t_grid=10", "rate study needs at least 2 sample sizes, got n_grid=(20,)"),
         ("selection", 25, "", "selection comparison needs t_star"),
         ("sweep", 25, "n_grid=20,40", "T sweep uses a single sample size"),
         ("selection", 25, "t_star=5 frac=0.15", "subsample of 3 rows is too small"),
@@ -757,19 +758,6 @@ def test_write_records_matches_per_row_writer(tmp_path, study):
     _write_records(tmp_path / "fast.csv", result)
     _write_records_per_row(tmp_path / "plain.csv", config.tau, result)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
-
-
-def test_write_records_in_small_chunks_matches_per_row_writer(tmp_path, monkeypatch):
-    # 75 sweep rows written 4 at a time: no chunk boundary may show in the file.
-    config = ExperimentConfig(
-        study="sweep", base_seed=4, trials=3, n_grid=(20,), d=25, sigma=1.0, tau=0.3, case="caseB",
-        t_grid=tuple(range(1, 26)),
-    )
-    result = run_study(config)
-    monkeypatch.setattr(cli, "_RECORD_CHUNK", 4)
-    _write_records(tmp_path / "chunked.csv", result)
-    _write_records_per_row(tmp_path / "plain.csv", config.tau, result)
-    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 
 def test_run_dispatch_uses_namespace():

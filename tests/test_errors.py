@@ -39,7 +39,7 @@ from cpkmeans.errors import (
 
 SPEC = ModelSpec(n=10, d=5, tau=0.3, theta_minus=np.zeros(5), theta_plus=np.ones(5), sigma=1.0)
 SAMPLE = SignalMatrix(np.arange(40.0).reshape(10, 4))
-CONFIG = dict(study="rate", case="rate", n_grid=(20,), d=20, t_grid=(5,))
+CONFIG = dict(study="sweep", case="rate", n_grid=(20,), d=20, t_grid=(5,))
 
 
 def test_rules_return_what_they_accept():

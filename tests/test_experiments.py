@@ -1,4 +1,5 @@
 import math
+import os
 import re
 
 import numpy as np
@@ -14,7 +15,6 @@ from cpkmeans import (
     derive_trial_seed,
     draw_sample,
     generate_sample,
-    run_regression_study,
     run_study,
     sample_case_means,
 )
@@ -190,7 +190,7 @@ def test_config_refuses_a_sigma_whose_draw_can_overflow_the_kernels():
                                               r"sample of n=20, d=5, got 1e\+200$"):
         _rate_config(**sweep, sigma=1e200)
     # The largest n sets the bound, and a sigma just inside it runs.
-    assert _rate_config(n_grid=(20,), sigma=2e150).sigma == 2e150
+    assert _rate_config(study="sweep", n_grid=(20,), sigma=2e150).sigma == 2e150
     with pytest.raises(ValidationError, match=r"^sigma must be at most 1\.367e\+150 .* n=40, d=20"):
         _rate_config(sigma=2e150)
     assert np.isfinite(run_study(_rate_config(sigma=1.3e150)).grid).all()
@@ -238,13 +238,26 @@ def test_rate_study_deterministic_across_workers():
     assert r1.summary == r2.summary
 
 
+def test_run_study_refuses_more_workers_than_cpus(monkeypatch):
+    # A fork pool starts all its workers on the first submit, so the count is
+    # refused before any trial runs; this test starts no process.
+    def no_trials(*args):
+        raise AssertionError("trials ran")
+
+    monkeypatch.setattr(experiments, "_run_trials", no_trials)
+    cpus = os.cpu_count() or 1
+    message = rf"^workers must lie in \[1, {cpus}\], got {cpus + 1}$"
+    with pytest.raises(ValidationError, match=message):
+        run_study(_rate_config(), workers=cpus + 1)
+
+
 def test_trial_records_stay_in_range():
     records = record_columns(run_study(_rate_config(trials=8)))
     abs_error = records["abs_error"]
     assert np.all((0.0 <= abs_error) & (abs_error <= 1.0 - 2.0 / records["n"]))
 
 
-def test_regression_study_recovers_power_laws():
+def test_rate_headline_recovers_power_laws():
     def fake(errors):
         summary = {
             (n, 10, "fixed-T"): SummaryStats(mean=e, median=e, variance=0.0, std_dev=0.0, count=1)
@@ -253,20 +266,19 @@ def test_regression_study_recovers_power_laws():
         return StudyResult(config=_rate_config(n_grid=tuple(errors)), grid=np.empty((0, 1)),
                            T_grid=np.array([[10]]), summary=summary)
 
-    slope_mean, slope_median = run_regression_study(
-        fake({100: 3.0 / 100, 200: 3.0 / 200, 400: 3.0 / 400})
-    )
-    assert slope_mean == pytest.approx(-1.0, rel=1e-9)
-    assert slope_median == pytest.approx(-1.0, rel=1e-9)
-    slope_mean, _ = run_regression_study(
-        fake({100: 2 / math.sqrt(100), 400: 2 / math.sqrt(400), 1600: 2 / math.sqrt(1600)})
-    )
-    assert slope_mean == pytest.approx(-0.5, rel=1e-9)
-    with pytest.raises(ValidationError):
-        run_regression_study(fake({100: 0.0, 200: 0.0, 400: 1e-3}))
+    headline = fake({100: 3.0 / 100, 200: 3.0 / 200, 400: 3.0 / 400}).headline()
+    assert list(headline) == ["slope_mean", "slope_median"]
+    assert all(type(slope) is float for slope in headline.values())
+    assert headline["slope_mean"] == pytest.approx(-1.0, rel=1e-9)
+    assert headline["slope_median"] == pytest.approx(-1.0, rel=1e-9)
+    headline = fake({100: 2 / math.sqrt(100), 400: 2 / math.sqrt(400),
+                     1600: 2 / math.sqrt(1600)}).headline()
+    assert headline["slope_mean"] == pytest.approx(-0.5, rel=1e-9)
+    with pytest.raises(ValidationError, match="fewer than 2 positive-error points"):
+        fake({100: 0.0, 200: 0.0, 400: 1e-3}).headline()
 
 
-def test_t_star_breaks_a_tie_to_the_smallest_t():
+def test_sweep_headline_breaks_a_tie_to_the_smallest_t():
     def stats(mean):
         return SummaryStats(mean=mean, median=mean, variance=0.0, std_dev=0.0, count=1)
 
@@ -277,7 +289,7 @@ def test_t_star_breaks_a_tie_to_the_smallest_t():
         summary = {key: stats(means[keys.index(key)]) for key in order}
         result = StudyResult(config=_case_b_config(study="sweep"), grid=np.empty((0, 4)),
                              T_grid=np.empty((0, 4), int), summary=summary)
-        assert result.t_star == 3
+        assert result.headline() == {"t_star": 3}
 
 
 def _case_b_config(**overrides):
@@ -304,7 +316,7 @@ def test_sweep_study_deterministic_and_repeatable():
     r1 = run_study(config, workers=1)
     r2 = run_study(config, workers=2)
     assert same_records(r1, r2)
-    assert r1.t_star == r2.t_star
+    assert r1.headline() == r2.headline()
     again = run_study(config, workers=1)
     assert same_records(again, r1)
 
@@ -333,15 +345,20 @@ def test_case_a_favors_small_truncation():
         t_grid=tuple(range(1, 201)),
     )
     result = run_study(config, workers=2)
-    assert result.t_star <= 10
+    t_star = result.headline()["t_star"]
+    assert t_star <= 10
     per_t = {T: stats for (_, T, _), stats in result.summary.items()}
-    assert per_t[result.t_star].mean < per_t[200].mean
+    assert per_t[t_star].mean < per_t[200].mean
 
 
 def test_selection_comparison_zero_noise():
     result = run_study(_case_b_config(trials=3, sigma=0.0))
     for stats in result.summary.values():
         assert stats.mean == 0.0
+    # The headline is each row's mean error, named by its selector, in row order.
+    headline = result.headline()
+    assert list(headline) == ["oracle_mean", "method1_mean", "method2_mean"]
+    assert all(type(mean) is float and mean == 0.0 for mean in headline.values())
 
 
 def test_selection_comparison_deterministic_across_workers():

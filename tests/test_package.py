@@ -40,7 +40,6 @@ PUBLIC = [
     "sample_case_means",
     "draw_sample",
     "run_study",
-    "run_regression_study",
 ]
 
 

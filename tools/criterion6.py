@@ -97,7 +97,7 @@ def main(argv=None):
     for (_, _, tag), stats in selection.summary.items():
         verdict = "in band" if abs(stats.mean - REFERENCE[tag]) <= BAND else "out of band"
         print(f"{tag:8} {stats.mean:.4f}  reference {REFERENCE[tag]} +/- {BAND}  {verdict}")
-    t_star, (lo, hi) = sweep.t_star, SWEEP_BAND
+    t_star, (lo, hi) = sweep.headline()["t_star"], SWEEP_BAND
     mean = sweep.summary[sweep.config.n_grid[0], t_star, "fixed-T"].mean
     verdict = "in band" if lo <= t_star <= hi else "out of band"
     print(f"{'sweep':8} T*={t_star}, {mean:.4f} at T*  reference T* in [{lo}, {hi}]  {verdict}")

@@ -73,8 +73,8 @@ def parse_invocation(argv) -> argparse.Namespace:
     lep.add_argument("--c-lepski", type=float, default=C_LEPSKI, dest="c_lepski")
     selectors.add_parser("method1", parents=[matrix], help="two-regime split of the surrogate")
     m2 = selectors.add_parser("method2", parents=[matrix], help="subsample variance")
-    m2.add_argument("--n-sub", type=int, default=100, dest="n_sub")
-    m2.add_argument("--frac", type=float, default=0.8)
+    m2.add_argument("--n-sub", type=int, default=ExperimentConfig.n_sub, dest="n_sub")
+    m2.add_argument("--frac", type=float, default=ExperimentConfig.frac)
     m2.add_argument("--seed", type=int, default=0)
 
     exp = sub.add_parser("experiment", help="run a configured study")
@@ -181,31 +181,17 @@ _SUMMARY_HEADER = [
 ]
 
 
-class _Texts(dict):
-    """Value -> its text, made by ``make`` on first lookup."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, value):
-        text = self[value] = self.make(value)
-        return text
-
-
 def _write_records(path, result: StudyResult):
     # A record is one cell of the result's (trial, row) grid: its trial and n
     # come from the grid's row, its selector from the column, its T from the
     # column or, where the selector picks T, from the trial's row of T_grid.
-    # So each trial's "trial,n," and each column's "T,tau_true," and
-    # ",selector" are formatted once, and each distinct tau_hat once per call
-    # together with its abs_error, which is |tau_hat - tau| by the same IEEE
-    # operations as the study's.  Keying on the float is exact: the only
-    # equal floats that repr tells apart are 0.0 and -0.0, and tau_hat lies
-    # in (0, 1).  Each record is one f-string, and each trial's records go
-    # out as one string.
+    # Each text is formatted once: a trial's "trial,n,", a column's
+    # "T,tau_true," and ",selector", and each distinct tau_hat's
+    # "tau_hat,abs_error".  Keying on the float is exact because tau_hat lies
+    # in (0, 1), so 0.0 and -0.0, the only equal floats repr tells apart,
+    # never meet.
     config = result.config
-    pair = _Texts(lambda x: f"{_fmt(x)},{_fmt(abs(x - config.tau))}").__getitem__
+    pairs = {}
     tau_text = _fmt(config.tau)
     tails = [f",{tag}\r\n" for _, tag in config.rows]
     mids = [[f"{t},{tau_text}," for t in T] for T in result.T_grid.tolist()]
@@ -215,7 +201,9 @@ def _write_records(path, result: StudyResult):
         for g, tau_hats in enumerate(result.grid):
             head = f"{g % trials},{config.n_grid[g // trials]},"
             fh.write("".join(
-                f"{head}{mid}{pair(x)}{tail}"
+                f"{head}{mid}"
+                f"{pairs.get(x) or pairs.setdefault(x, f'{_fmt(x)},{_fmt(abs(x - config.tau))}')}"
+                f"{tail}"
                 for mid, x, tail in zip(mids[g if len(mids) > 1 else 0], tau_hats.tolist(), tails)))
 
 

@@ -59,29 +59,22 @@ def check_fraction(name: str, value) -> float:
 
 
 def check_integers(name: str, entry: str, values, lo: int, hi: int | None = None) -> np.ndarray:
-    """``values`` as a 1-D intp array, each ``entry`` checked as by ``check_integer``.
+    """``values`` as a fresh 1-D intp array, every ``entry`` checked as by ``check_integer``.
 
-    An integer array, or a sequence numpy unites as integers, is checked
-    at its min and max only; anything else entry by entry.  A value that
-    is not iterable is refused, and so is an entry outside the intp range.
+    A value that is not iterable is refused, and so is an entry outside
+    the intp range.
     """
     try:
         entries = list(values)
     except TypeError:
         raise ValidationError(f"{name} must be a sequence of integers, got {values!r}") from None
 
-    def check(x) -> int:
-        x = check_integer(entry, x, lo, hi)
-        if not _INTP.min <= x <= _INTP.max:
-            raise ValidationError(f"{entry} must fit in intp, got {x}")
-        return x
-
-    array = np.array(entries)
-    if array.ndim == 1 and array.dtype.kind in "iu":
-        if array.size:
-            check(array.min()), check(array.max())
-        return array.astype(np.intp, copy=False)
-    return np.array([check(x) for x in entries], dtype=np.intp)
+    ints = [check_integer(entry, x, lo, hi) for x in entries]
+    try:
+        return np.array(ints, dtype=np.intp)
+    except OverflowError:  # numpy names no entry, so find the first outside the intp range
+        x = next(x for x in ints if not _INTP.min <= x <= _INTP.max)
+        raise ValidationError(f"{entry} must fit in intp, got {x}") from None
 
 
 def check_array(name: str, values, ndim: int = 1, limit=None) -> np.ndarray:

@@ -144,7 +144,8 @@ def gap_squared(spec: ModelSpec, T: int) -> float:
 
 def rate_psi(n: int, T: int, delta_t_sq: float, sigma: float) -> float:
     """Theoretical error-rate functional; +inf for a zero gap with noise, 0 without noise."""
-    n, T = check_integer("n", n, 1), check_integer("T", T, 1)
+    # Read as reals too, so an int beyond the float range is refused by name.
+    n, T = check_real("n", check_integer("n", n, 1)), check_real("T", check_integer("T", T, 1))
     delta_t_sq, sigma = check_real("delta_t_sq", delta_t_sq, 0), check_sigma(sigma)
     if sigma == 0.0:
         return 0.0

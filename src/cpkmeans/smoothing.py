@@ -73,7 +73,8 @@ def lepski_select(z: np.ndarray, n: int, sigma: float, c_lepski: float = C_LEPSK
     """
     if not check_real("c_lepski", c_lepski) > 0:
         raise ValidationError(f"c_lepski must be > 0, got {c_lepski}")
-    sigma, n = check_sigma(sigma), check_integer("n", n, 1)
+    # n is read as a real too, so an int beyond the float range is refused by name.
+    sigma, n = check_sigma(sigma), check_real("n", check_integer("n", n, 1))
     zv = check_array("z", z)
     d = zv.size
     thr = c_lepski * np.arange(1, d + 1) * (sigma * sigma / n) * math.log(max(d, n))

@@ -42,7 +42,7 @@ def chi_square_tail_bound(k: int, u_sq: float) -> float:
 
 def chi_square_moderate_bound(k: int, z: float) -> float:
     """Moderate-deviation bound on P(chi2_k - k > z) for z > 0."""
-    k = check_integer("k", k, 1)
+    k = check_real("k", check_integer("k", k, 1))  # an int beyond the float range refused by name
     if not check_real("z", z) > 0:
         raise ValidationError(f"z must be > 0, got {z}")
     return math.exp(-z * z / (16.0 * k))

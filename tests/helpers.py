@@ -9,17 +9,31 @@ means reference draws each case by its own branch, the sample reference
 adds a full means matrix to the scaled noise, the record columns are
 built from a study's grid by tile and repeat, the summary reference
 groups those records one at a time in a dict, and the split's sum of
-squares comes from direct segment means.
+squares comes from direct segment means.  ``WORKERS`` and
+``skip_pool_below_two_cpus`` fit the pool tests to the machine's CPUs.
 """
 
 import math
+import os
 
 import numpy as np
+import pytest
 
 from cpkmeans._kernels import objective_table
 from cpkmeans.errors import ValidationError, check_integer
 from cpkmeans.experiments import MeanCase
 from cpkmeans.stats import summarize
+
+# The pool size of a test that only needs some pool: 2, or 1 on one CPU,
+# where run_study refuses 2 workers.
+WORKERS = min(2, os.cpu_count() or 1)
+
+
+def skip_pool_below_two_cpus():
+    """Skip the rest of a test that compares 1 worker with 2 where there is one CPU."""
+    cpus = os.cpu_count() or 1
+    if cpus < 2:
+        pytest.skip(f"a 2-worker pool needs 2 CPUs, os.cpu_count() is {cpus}")
 
 
 def _check_k(Y, k: int):

@@ -23,7 +23,7 @@ from cpkmeans.cli import (
     write_matrix_csv,
 )
 from cpkmeans.experiments import ExperimentConfig, draw_sample, run_study
-from helpers import record_columns
+from helpers import WORKERS, record_columns, skip_pool_below_two_cpus
 
 
 def test_parse_estimate_invocation():
@@ -421,6 +421,7 @@ def test_experiment_worker_count_does_not_change_outputs(tmp_path, capsys):
     cfg.write_text(RATE_CFG)
     out1, out2 = tmp_path / "w1", tmp_path / "w2"
     assert main(["experiment", "--config", str(cfg), "--out", str(out1), "--workers", "1"]) == EXIT_OK
+    skip_pool_below_two_cpus()
     assert main(["experiment", "--config", str(cfg), "--out", str(out2), "--workers", "2"]) == EXIT_OK
     capsys.readouterr()
     assert (out1 / "records.csv").read_bytes() == (out2 / "records.csv").read_bytes()
@@ -474,7 +475,7 @@ def test_experiment_overflowing_sigma_is_rejected_before_trials(tmp_path, capsys
     cfg.write_text("study=sweep\ncase=caseA\nbase_seed=1\ntrials=2\nn_grid=20\nd=5\n"
                    "sigma=1e200\ntau=0.3\nt_grid=1:5\n")
     out = tmp_path / "run"
-    args = ["experiment", "--config", str(cfg), "--out", str(out), "--workers", "2"]
+    args = ["experiment", "--config", str(cfg), "--out", str(out), "--workers", str(WORKERS)]
     assert main(args) == EXIT_VALIDATION
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -747,14 +748,21 @@ def _write_records_per_row(path, tau, result):
             )
 
 
-@pytest.mark.parametrize("study", ["sweep", "selection"])
-def test_write_records_matches_per_row_writer(tmp_path, study):
-    config = ExperimentConfig(
-        study=study, base_seed=4, trials=3, n_grid=(20,), d=25, sigma=1.0, tau=0.3, case="caseB",
-        t_grid=tuple(range(1, 26)), n_sub=6, t_star=5,
-    )
+@pytest.mark.parametrize("study, overrides, records", [
+    pytest.param("sweep", {}, 75, id="sweep"),
+    pytest.param("selection", {}, 9, id="selection"),
+    pytest.param("rate", dict(case="caseA", sigma=0.5, n_grid=(20, 40), t_grid=(5,)), 6, id="rate"),
+])
+def test_write_records_matches_per_row_writer(tmp_path, study, overrides, records):
+    config = ExperimentConfig(**{
+        "study": study, "base_seed": 4, "trials": 3, "n_grid": (20,), "d": 25, "sigma": 1.0,
+        "tau": 0.3, "case": "caseB", "t_grid": tuple(range(1, 26)), "n_sub": 6, "t_star": 5,
+        **overrides,
+    })
     result = run_study(config)
-    assert len(record_columns(result)["n"]) == (75 if study == "sweep" else 9)
+    assert len(record_columns(result)["n"]) == records
+    if study == "rate":  # 0.3 = 6/20 = 12/40: one memo entry serves both n blocks
+        assert 0.3 in result.grid[:3] and 0.3 in result.grid[3:]
     _write_records(tmp_path / "fast.csv", result)
     _write_records_per_row(tmp_path / "plain.csv", config.tau, result)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()

@@ -69,6 +69,11 @@ def test_rules_return_what_they_accept():
     (lambda: check_integers("g", "every g", (1, 0), 1), "every g must be >= 1, got 0"),
     (lambda: check_integers("g", "every g", [1, 2.0], 1), "every g must be an integer, got 2.0"),
     (lambda: check_integers("g", "every g", [[1]], 1), "every g must be an integer, got [1]"),
+    # A ragged grid raised numpy's inhomogeneous-shape ValueError.
+    pytest.param(lambda: check_integers("g", "every g", [[1], 2], 1),
+                 "every g must be an integer, got [1]", id="ragged-first"),
+    pytest.param(lambda: check_integers("g", "every g", [1, [2, 3]], 1),
+                 "every g must be an integer, got [2, 3]", id="ragged-last"),
     (lambda: check_integers("g", "every g", [2**63], 1), f"every g must fit in intp, got {2**63}"),
     (lambda: check_integers("g", "every g", np.array([2**63], dtype=np.uint64), 1),
      f"every g must fit in intp, got {2**63}"),
@@ -107,6 +112,7 @@ def test_rules_refuse_with_the_parameter_name(call, message):
     ("sigma", lambda: ExperimentConfig(**CONFIG, sigma="1")),
     ("frac", lambda: ExperimentConfig(**CONFIG, frac="0.8")),
     ("n_grid", lambda: ExperimentConfig(**{**CONFIG, "n_grid": 100})),
+    ("every T", lambda: ExperimentConfig(**{**CONFIG, "t_grid": [[1], 2]})),
     ("tau", lambda: ModelSpec(**{**SPEC.__dict__, "tau": "0.3"})),
     ("sigma", lambda: ModelSpec(**{**SPEC.__dict__, "sigma": "1"})),
     ("frac", lambda: method2_select(SAMPLE, 5, "0.8", 0)),
@@ -125,6 +131,11 @@ def test_rules_refuse_with_the_parameter_name(call, message):
     pytest.param("c_lepski", lambda: estimate_adaptive(SAMPLE, 1.0, c_lepski=10**400),
                  id="c_lepski-overflow"),
     pytest.param("z", lambda: chi_square_moderate_bound(3, 10**400), id="z-overflow"),
+    pytest.param("n", lambda: rate_psi(10**400, 10, 1.0, 1.0), id="n-overflow"),
+    pytest.param("T", lambda: rate_psi(100, 10**400, 1.0, 1.0), id="T-overflow"),
+    pytest.param("k", lambda: chi_square_moderate_bound(10**400, 1.0), id="k-overflow"),
+    pytest.param("n", lambda: lepski_select(np.full(5, 0.01), 10**400, 1.0),
+                 id="lepski-n-overflow"),
     ("seed", lambda: generate_sample(SPEC, 1.5)),
     ("seed", lambda: method2_select(SAMPLE, 5, 0.8, 1.5)),
     ("workers", lambda: run_study(ExperimentConfig(**CONFIG), 1.5)),

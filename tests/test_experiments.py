@@ -20,7 +20,14 @@ from cpkmeans import (
 )
 
 from cpkmeans import experiments
-from helpers import case_means_reference, record_columns, same_records, summary_by_record
+from helpers import (
+    WORKERS,
+    case_means_reference,
+    record_columns,
+    same_records,
+    skip_pool_below_two_cpus,
+    summary_by_record,
+)
 
 
 def test_derive_trial_seed_stability():
@@ -144,8 +151,8 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         _rate_config(t_grid=(25,))
     # Every study runs on every case: the rate study on case A, too.
-    config = _rate_config(case=MeanCase.CASE_A, trials=3)
-    assert same_records(run_study(config, workers=1), run_study(config, workers=2))
+    case_a = _rate_config(case=MeanCase.CASE_A, trials=3)
+    serial = run_study(case_a, workers=1)
     with pytest.raises(ValidationError, match="rate study uses a single fixed T"):
         _rate_config(t_grid=(5, 10))
     with pytest.raises(ValidationError, match="d must be"):
@@ -181,6 +188,8 @@ def test_config_validation():
                           t_star=np.int32(3))
     assert (config.trials, config.base_seed, config.n_grid, config.t_star) == (2, 5, (20, 40), 3)
     assert type(config.trials) is int and type(config.n_grid[0]) is int
+    skip_pool_below_two_cpus()
+    assert same_records(serial, run_study(case_a, workers=2))
 
 
 def test_config_refuses_a_sigma_whose_draw_can_overflow_the_kernels():
@@ -233,6 +242,7 @@ def test_rate_study_zero_noise():
 def test_rate_study_deterministic_across_workers():
     config = _rate_config(trials=6)
     r1 = run_study(config, workers=1)
+    skip_pool_below_two_cpus()
     r2 = run_study(config, workers=2)
     assert same_records(r1, r2)
     assert r1.summary == r2.summary
@@ -314,20 +324,22 @@ def _case_b_config(**overrides):
 def test_sweep_study_deterministic_and_repeatable():
     config = _case_b_config(study="sweep", trials=5)
     r1 = run_study(config, workers=1)
+    again = run_study(config, workers=1)
+    assert same_records(again, r1)
+    skip_pool_below_two_cpus()
     r2 = run_study(config, workers=2)
     assert same_records(r1, r2)
     assert r1.headline() == r2.headline()
-    again = run_study(config, workers=1)
-    assert same_records(again, r1)
 
 
 def test_sweep_study_runs_on_the_rate_model():
     config = _rate_config(study="sweep", n_grid=(20,), t_grid=(1, 5, 20), trials=3)
     result = run_study(config, workers=1)
-    assert same_records(result, run_study(config, workers=2))
     assert list(result.summary) == [(20, t, "fixed-T") for t in (1, 5, 20)]
     with pytest.raises(ValidationError, match="T sweep uses a single sample size"):
         _case_b_config(study="sweep", n_grid=(20, 40))
+    skip_pool_below_two_cpus()
+    assert same_records(result, run_study(config, workers=2))
 
 
 def test_case_a_favors_small_truncation():
@@ -344,7 +356,7 @@ def test_case_a_favors_small_truncation():
         case=MeanCase.CASE_A,
         t_grid=tuple(range(1, 201)),
     )
-    result = run_study(config, workers=2)
+    result = run_study(config, workers=WORKERS)
     t_star = result.headline()["t_star"]
     assert t_star <= 10
     per_t = {T: stats for (_, T, _), stats in result.summary.items()}
@@ -364,6 +376,7 @@ def test_selection_comparison_zero_noise():
 def test_selection_comparison_deterministic_across_workers():
     config = _case_b_config(trials=4)
     r1 = run_study(config, workers=1)
+    skip_pool_below_two_cpus()
     r2 = run_study(config, workers=2)
     assert same_records(r1, r2)
 
@@ -371,10 +384,12 @@ def test_selection_comparison_deterministic_across_workers():
 def test_selection_comparison_validation():
     with pytest.raises(ValidationError, match="selection comparison needs t_star"):
         _case_b_config(t_star=None)
-    config = _case_b_config(case=MeanCase.CASE_A, trials=3)
-    assert same_records(run_study(config, workers=1), run_study(config, workers=2))
     with pytest.raises(ValidationError, match="selection comparison uses a single sample size"):
         _case_b_config(n_grid=(20, 40))
+    config = _case_b_config(case=MeanCase.CASE_A, trials=3)
+    serial = run_study(config, workers=1)
+    skip_pool_below_two_cpus()
+    assert same_records(serial, run_study(config, workers=2))
 
 
 def test_config_rejects_unknown_study_and_case():
@@ -449,6 +464,8 @@ def test_record_columns_match_per_batch_construction(study, workers):
         config = _rate_config(trials=3)
     else:
         config = _case_b_config(study=study, trials=3 if study == "sweep" else 4)
+    if workers == 2:
+        skip_pool_below_two_cpus()
     records = record_columns(run_study(config, workers=workers))
     for name, expected in _columns_from_batches(config).items():
         column = records[name]

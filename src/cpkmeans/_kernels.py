@@ -14,18 +14,20 @@ offset: it first loses its first value, giving x; then, with
 
 ``objective_table`` computes W for every (k, T) of one matrix;
 ``objective_row`` only the row of one T, as a fixed-T fit needs;
-``subsample_argmins`` only the argmin over k of each row, for a stack
-of row subsets at once.  All three do the same operations in the same
-order (``sum x^2`` is numpy's pairwise sum over one contiguous column,
-whose order depends only on n; P_k and the sums over T are running
-sums), so the partial kernels equal the table's row and its per-subset
-argmins bit for bit.  ``tests/test_kernels.py`` checks the table against
-the direct formula in ``tests/helpers.py`` and each partial kernel
-against the table.  ``studybench/run.py --trace 1`` times only
-``objective_table``, the sweep's kernel, so the traced ``kernel.*``
-metrics of rate and selection, whose fits call the other two, read 0.
-The table comes back row-contiguous, so a sweep takes the argmin of
-every row without a copy.
+``subsample_argmins`` only a minimiser over k of each row, for a stack
+of row subsets at once: the first maximum of the weighted energy, the
+float the table subtracts from tss_T, since tss_T does not depend on k.
+All three do the same operations in the same order (``sum x^2`` is
+numpy's pairwise sum over one contiguous column, whose order depends
+only on n; P_k and the sums over T are running sums), so the row equals
+the table's row bit for bit, and as ``fl(tss_T - x)`` never rises as x
+grows, each pick is a minimiser of its per-subset row bit for bit.
+``tests/test_kernels.py`` checks the table against the direct formula
+in ``tests/helpers.py`` and each partial kernel against the table.
+``studybench/run.py --trace 1`` times only ``objective_table``, the
+sweep's kernel, so the traced ``kernel.*`` metrics of rate and
+selection, whose fits call the other two, read 0.  The table comes back
+row-contiguous, so a sweep takes the argmin of every row without a copy.
 
 The table and the row take every buffer they make, the returned table
 included, from a per-thread workspace, and so does
@@ -181,14 +183,15 @@ def subsample_argmins(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
     Returns
     -------
     argmins : intp array of shape (s, d)
-        ``argmins[i, T - 1]`` equals
-        ``argmin(objective_table(values[rows[i]])[T - 1])`` exactly.
+        ``argmins[i, T - 1]``, the first maximiser of subset i's weighted
+        energy at T, is a minimiser of ``objective_table(values[rows[i]])[T - 1]``
+        bit for bit, and that row's ``argmin`` wherever its minimum is unique.
 
     The loop runs over T, one column at a time, for all subsets at once,
     and keeps (s, m) arrays, never an (s, m, d) stack.  Each subset's
     column is shifted by its own first value and centred on its own
-    total, in the table's operations and order, so the values compared,
-    and hence the first-minimum tie-break, are identical.  The shifted
+    total, in the table's operations and order, so each energy is the
+    float the table subtracts from tss_T.  The shifted
     values are gathered from one small table per column, of the column
     less each distinct first value, in place of a subtraction per subset.
     The distinct first values are the nonzero bins of their count, and
@@ -204,21 +207,17 @@ def subsample_argmins(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
     slot = np.searchsorted(firsts, rows[:, 0])
     index = rows + (slot * n)[:, None]
     columns = np.ascontiguousarray(values.T)
-    tss = np.zeros((s, 1))
     energy = np.zeros((s, m - 3))
     obj = np.empty((s, m - 3))
     out = np.empty((d, s), dtype=np.intp)
     for t in range(d):
         column = columns[t]
         cusum = (column - column[firsts][:, None]).ravel()[index]
-        squares = np.add.reduce(cusum * cusum, axis=1)
         np.cumsum(cusum, axis=1, out=cusum)
         total = cusum[:, -1:]
-        tss[:, 0] += squares - total[:, 0] * total[:, 0] / m
         np.multiply(total, ratios, out=obj)
         np.subtract(cusum[:, 1 : m - 2], obj, out=obj)
         energy += np.multiply(obj, obj, out=obj)
         np.multiply(energy, weights, out=obj)
-        np.subtract(tss, obj, out=obj)
-        obj.argmin(axis=1, out=out[t])
+        obj.argmax(axis=1, out=out[t])
     return out.T

@@ -91,7 +91,12 @@ def two_regime_scores(z: np.ndarray) -> np.ndarray:
 
 
 def method2_loop(values: np.ndarray, n_sub: int, frac: float, seed: int) -> int:
-    """Method 2 as a loop: one full objective table per subsample."""
+    """Method 2 as a loop: one full objective table per subsample.
+
+    It breaks rounded ties by the table's first minimum, where
+    ``subsample_argmins`` takes the weighted energy's first maximum: both
+    are minimisers, and they differ only where a row's minimum is tied.
+    """
     n, d = values.shape
     m = int(frac * n)
     rng = np.random.default_rng(seed)

@@ -108,6 +108,29 @@ def test_subsample_argmins_exact_ties_keep_first_minimum():
     assert np.array_equal(subsample_argmins(values, rows), _per_subset_argmins(values, rows))
 
 
+def test_subsample_argmins_pick_a_minimiser_at_rounded_ties():
+    # 0/1 data, a third of it moved to 1e6, which the shift by each
+    # subset's first value must cancel: distinct weighted energies often
+    # round to one table value, so the energy's first maximum may lie past
+    # the table's first minimum, but it always hits the minimum.
+    rng = np.random.default_rng(56)
+    past_first = 0
+    for i in range(300):
+        n, d = int(rng.integers(8, 40)), int(rng.integers(1, 12))
+        values = rng.integers(0, 2, size=(n, d)).astype(np.float64) + (1e6 if i % 3 == 0 else 0.0)
+        rows = _sorted_subsets(rng, n, int(rng.integers(4, n + 1)), 7)
+        for r, picks in zip(rows, subsample_argmins(values, rows)):
+            table = objective_table(values[r])
+            minima = table.min(axis=1)
+            assert np.array_equal(table[np.arange(d), picks], minima)
+            first = table.argmin(axis=1)
+            unique = (table == minima[:, None]).sum(axis=1) == 1
+            assert np.array_equal(picks[unique], first[unique])
+            past_first += int(np.sum(picks != first))
+    # The tie rule is the energy's, not the table's first minimum.
+    assert past_first > 0
+
+
 @pytest.mark.parametrize("offset", [1e6, 1e8])
 def test_subsample_argmins_large_offset(offset):
     # Large offsets exercise the shift by each subset's first value; the

@@ -36,7 +36,7 @@ from .experiments import (
 from .model import ModelSpec, SignalMatrix, generate_sample
 from .smoothing import C_LEPSKI, lepski_select, method1_select, method2_select, surrogate
 
-# studybench/replay.py still wraps these per-study names (until ROADMAP item 5).
+# studybench/replay.py still wraps these per-study names (until ROADMAP item 2's third step).
 run_rate_study = run_t_sweep_study = run_selection_comparison = run_study
 
 EXIT_OK = 0

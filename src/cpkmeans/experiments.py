@@ -10,15 +10,15 @@ sds per (case, d) and one sampler, ``sample_case_means``, and
 
 The three studies (error against n at a fixed T, error against T, and
 the selectors against the oracle T) are one pipeline, and each runs on
-any case.  The config names its study, and so its (T, selector) rows: a
-fixed T, the oracle T or a selector that picks T in every trial.
-``_trial`` fills every row of one trial, and ``run_study`` writes each
-trial's tau_hat into one (trial, row) grid as it arrives and summarises
-each row of each n into one ``StudyResult``.  The result keeps the
-config it ran, the one record of the study's parameters, beside the
-grid; ``cli`` lays each cell of the grid out as one record of
-records.csv, and prints the result's ``headline``, the numbers each
-study reports.
+any case.  The config turns its study name into (T, selector) rows (a
+fixed T, the oracle T or a selector that picks T in every trial) and
+its trials' seed tag; past the config, the name changes only the
+``study`` column of summary.csv.  ``_trial`` fills every row of one
+trial, and ``run_study`` summarises each row and n of the (trial, row)
+grid into one ``StudyResult``.  ``cli`` writes each cell as one record
+of records.csv and prints the result's ``headline``: ``t_star`` for
+fixed-T rows at one n, their error slopes over several n, and each
+oracle or selector row's mean error.
 """
 
 from __future__ import annotations
@@ -141,25 +141,22 @@ class ExperimentConfig:
             raise ValidationError(
                 f"sigma must be at most {limit:.4g} for a {self.case.value} sample of "
                 f"n={max(self.n_grid)}, d={self.d}, got {self.sigma!r}")
-        # The selection study's rows come from t_star, so it needs no t_grid.
-        if not self.t_grid and self.study != "selection":
+        # The study name sets the rows and its own shape; the other checks read the rows.
+        if not self.rows:  # rate's and sweep's rows are t_grid's
             raise ValidationError("t_grid must be non-empty")
         _check_distinct("t_grid", self.t_grid)
         if self.study == "rate":
-            if len(self.t_grid) != 1:
+            if len(self.rows) != 1:
                 raise ValidationError("rate study uses a single fixed T")
-            # Its headline is the slope of its error over n.
-            if len(self.n_grid) < 2:
+            if len(self.n_grid) < 2:  # its headline is the slope of its error over n
                 raise ValidationError(
                     f"rate study needs at least 2 sample sizes, got n_grid={self.n_grid}")
-        elif self.study == "sweep":
-            if len(self.n_grid) != 1:
-                raise ValidationError("T sweep uses a single sample size")
-        else:
-            if len(self.n_grid) != 1:
-                raise ValidationError("selection comparison uses a single sample size")
-            if self.t_star is None:
-                raise ValidationError("selection comparison needs t_star (oracle T)")
+        elif len(self.n_grid) != 1:
+            raise ValidationError("T sweep uses a single sample size" if self.study == "sweep"
+                                  else "selection comparison uses a single sample size")
+        if (None, "oracle") in self.rows:  # the oracle row's T is t_star
+            raise ValidationError("selection comparison needs t_star (oracle T)")
+        if (None, "method2") in self.rows:
             subsample_size(self.n_grid[0], self.n_sub, self.frac)
 
     @functools.cached_property  # built once per config, not once per trial
@@ -173,9 +170,13 @@ class ExperimentConfig:
             return (self.t_star, "oracle"), (None, "method1"), (None, "method2")
         return tuple((t, "fixed-T") for t in self.t_grid)
 
-    @functools.cached_property
-    def _fixed_T(self) -> tuple[int, ...]:  # the T of every row that keeps its T
-        return tuple(t for t, _ in self.rows if t is not None)
+    @functools.cached_property  # the (T, tag) every trial's seed mixes in
+    def _seed_tag(self) -> tuple[int, str]:  # a rate study's one row, else (0, study)
+        return self.rows[0] if self.study == "rate" else (0, self.study)
+
+    @functools.cached_property  # every row's T, shared by every trial, or None
+    def _shared_T(self) -> tuple[int, ...] | None:  # where a selector row picks T
+        return None if any(t is None for t, _ in self.rows) else tuple(t for t, _ in self.rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,9 +186,8 @@ class StudyResult:
 
     ``grid`` has one read-only row per trial, n by n in ``config.n_grid``
     order, and one column per row key of ``config.rows``, a (T, selector)
-    pair; T is None for the selectors that pick T afresh in every trial.
-    ``T_grid`` holds each cell's T: one row shared by every trial, or
-    one row per trial when a selector picks T.  Each cell is one record
+    pair.  ``T_grid`` holds each cell's T: one row shared by every trial,
+    or one row per trial when a selector picks T.  Each cell is one record
     of records.csv, whose abs_error is |tau_hat - config.tau|.
 
     ``summary`` maps (n, T, selector) to the stats of that group's
@@ -200,27 +200,30 @@ class StudyResult:
     summary: dict[tuple[int, int | None, str], SummaryStats]
 
     def headline(self) -> dict[str, float | int]:
-        """The numbers the study reports, by name, in the order they print.
+        """The numbers the study reports, by name, in the order they print,
+        chosen by the kinds of ``config.rows`` and the number of n.
 
-        rate: ``slope_mean`` and ``slope_median``, the log-log slopes of the
-        mean and median error against n, zero-error points left out.
-        sweep: ``t_star``, the fixed T of least mean error; ties go to the
-        smallest T.  selection: ``{selector}_mean``, each row's mean error.
+        Fixed-T rows report ``t_star`` at one n, the T of least mean error
+        (ties go to the smallest T), and over several n ``slope_mean`` and
+        ``slope_median``, the log-log slopes of the mean and median error
+        against n, zero-error points left out.  A row that names or picks its
+        T (the oracle, method 1, method 2) reports ``{selector}_mean``.
         """
-        if self.config.study == "sweep":
-            means = {T: s.mean for (_, T, _), s in self.summary.items() if T is not None}
-            best = min(means.values())
-            return {"t_star": min(T for T, mean in means.items() if mean == best)}
-        if self.config.study == "selection":
-            return {f"{tag}_mean": float(s.mean) for (_, _, tag), s in self.summary.items()}
-        slopes = {}
-        for stat in ("mean", "median"):
-            pts = [(math.log(n), math.log(getattr(s, stat)))
-                   for (n, _, _), s in self.summary.items() if getattr(s, stat) > 0]
-            if len(pts) < 2:
-                raise ValidationError("fewer than 2 positive-error points; slope undefined")
-            slopes[f"slope_{stat}"] = fit_line(*zip(*pts))[0]
-        return slopes
+        config, head = self.config, {}
+        fixed = [t for t, tag in config.rows if tag == "fixed-T"]
+        if fixed and len(config.n_grid) == 1:  # the least (mean, T) pair
+            head["t_star"] = min((self.summary[n, t, "fixed-T"].mean, t)
+                                 for n in config.n_grid for t in fixed)[1]
+        elif fixed:
+            for stat in ("mean", "median"):
+                pts = [(math.log(n), math.log(v)) for n in config.n_grid for t in fixed
+                       if (v := getattr(self.summary[n, t, "fixed-T"], stat)) > 0]
+                if len(pts) < 2:
+                    raise ValidationError("fewer than 2 positive-error points; slope undefined")
+                head[f"slope_{stat}"] = fit_line(*zip(*pts))[0]
+        head.update((f"{tag}_mean", float(self.summary[n, t, tag].mean))
+                    for n in config.n_grid for t, tag in config.rows if tag != "fixed-T")
+        return head
 
 
 def derive_trial_seed(base_seed: int, trial_index: int, n: int, T: int, selector_tag: str) -> int:
@@ -272,7 +275,7 @@ def _mean_table(case: MeanCase, d: int) -> tuple[np.ndarray, np.ndarray, int, bo
     return table
 
 
-# studybench/replay.py still wraps this name (until ROADMAP item 5).
+# studybench/replay.py still wraps this name (until ROADMAP item 2's third step).
 sample_rate_means = functools.partial(sample_case_means, MeanCase.RATE_MODEL)
 
 
@@ -307,28 +310,26 @@ _SELECTORS = {  # each selector row's pick of T from the trial's sample and gene
 def _trial(payload):
     """One trial from a (config, n, trial) payload: (picked_T, tau_hat).
 
-    The sample is drawn with the study's seed key, then each selector row
+    The sample is drawn with the config's seed tag, then each selector row
     picks its T in row order, so method 2 draws its seed right after the
     sample.  ``tau_hat`` has one entry per row of ``config.rows``;
     ``picked_T`` is every row's T where a selector picks T, else None.
-    With several fixed rows, every row is read off one ``sweep_estimate``
-    table, which ``estimate_tau`` reproduces bit for bit.
+    With several rows that keep their T, every row is read off one
+    ``sweep_estimate`` table, which ``estimate_tau`` reproduces bit for bit.
     """
     config, n, trial = payload
-    rows, fixed = config.rows, config._fixed_T
-    key = (config.t_grid[0], "fixed-T") if config.study == "rate" else (0, config.study)
-    rng = np.random.default_rng(derive_trial_seed(config.base_seed, trial, n, *key))
+    rng = np.random.default_rng(derive_trial_seed(config.base_seed, trial, n, *config._seed_tag))
     sample = draw_sample(config.case, n, config.d, config.tau, config.sigma, rng)
-    picked = None if len(fixed) == len(rows) else [
-        t if t is not None else _SELECTORS[tag](sample, config, rng) for t, tag in rows]
-    T = picked or fixed
-    if len(fixed) > 1:
-        return picked, sweep_estimate(sample, T)[0] / n
-    return picked, [estimate_tau(sample, t).tau_hat for t in T]
+    T = config._shared_T
+    if T is None:  # each selector row picks its T from this trial's sample
+        T = [t if t is not None else _SELECTORS[tag](sample, config, rng) for t, tag in config.rows]
+        return T, [estimate_tau(sample, t).tau_hat for t in T]
+    return None, (sweep_estimate(sample, T)[0] / n if len(T) > 1
+                  else [estimate_tau(sample, T[0]).tau_hat])
 
 
 # studybench/replay.py times each study's trials by rebinding these names,
-# so run_study looks them up on every call (until ROADMAP item 5).
+# so run_study looks them up on every call (until ROADMAP item 2's third step).
 _rate_trial = _sweep_trial = _selection_trial = _trial
 
 
@@ -346,17 +347,16 @@ def run_study(config: ExperimentConfig, workers: int = 1) -> StudyResult:
     # A pool starts all its workers at once: no more than the machine has CPUs.
     workers = check_integer("workers", workers, 1, os.cpu_count() or 1)
     trial_fn = globals()[f"_{config.study}_trial"]
-    rows = config.rows
-    picked = len(config._fixed_T) < len(rows)
+    rows, shared = config.rows, config._shared_T
     payloads = [(config, n, trial) for n in config.n_grid for trial in range(config.trials)]
     grid = np.empty((len(payloads), len(rows)))
-    T_grid = np.empty(grid.shape, int) if picked else np.array([[t for t, _ in rows]])
+    T_grid = np.empty(grid.shape, int) if shared is None else np.array([shared])
     for i, (T, tau_hat) in enumerate(_run_trials(trial_fn, payloads, workers)):
         # Checked, since numpy would broadcast a one-element row silently.
         if len(tau_hat) != len(rows):
             raise RuntimeError(f"a trial returned {len(tau_hat)} estimates for {len(rows)} rows")
         grid[i] = tau_hat
-        if picked:
+        if shared is None:
             T_grid[i] = T
     grid.flags.writeable = T_grid.flags.writeable = False
     summary = {}

@@ -292,13 +292,16 @@ def test_sweep_headline_breaks_a_tie_to_the_smallest_t():
     def stats(mean):
         return SummaryStats(mean=mean, median=mean, variance=0.0, std_dev=0.0, count=1)
 
-    # T = 3 and T = 7 share the least mean; method 1's lower mean has no fixed T.
+    # T = 3 and T = 7 share the least mean, in either row order; method 1's
+    # lower mean is in no row of the config, whose rows the headline reads.
     keys = [(20, 7, "fixed-T"), (20, 5, "fixed-T"), (20, 3, "fixed-T"), (20, None, "method1")]
     means = [0.125, 0.25, 0.125, 0.0625]
     for order in (keys, keys[::-1]):
         summary = {key: stats(means[keys.index(key)]) for key in order}
-        result = StudyResult(config=_case_b_config(study="sweep"), grid=np.empty((0, 4)),
-                             T_grid=np.empty((0, 4), int), summary=summary)
+        t_grid = [T for _, T, tag in order if tag == "fixed-T"]
+        config = _case_b_config(study="sweep", t_grid=t_grid)
+        result = StudyResult(config=config, grid=np.empty((0, 3)),
+                             T_grid=np.array([config.t_grid]), summary=summary)
         assert result.headline() == {"t_star": 3}
 
 

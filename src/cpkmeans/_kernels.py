@@ -44,8 +44,10 @@ A study calls the kernels thousands of times at a few shapes, and fresh
 arrays of 150-320 KB would go back to the OS after each call and be
 faulted in again on the next: some 100 page faults per sweep trial and
 350 per rate trial at n = 4000, which cost more than the arithmetic.
-The workspace keeps each role's memory for the thread's lifetime, up to
-8 MB; a larger call allocates and frees its own arrays, so one large
+The workspace keeps each role's memory, up to 8 MB, until the thread
+ends or ``release`` drops it, as ``experiments.run_study`` does once its
+trials end; an array a caller still holds keeps its memory through its
+base.  A larger call allocates and frees its own arrays, so one large
 call does not pin its size.
 """
 
@@ -79,6 +81,10 @@ class _Workspace(threading.local):
         array = np.frombuffer(memory)
         self.handed[role] = memory, weakref.ref(array)
         return array[:size].reshape(shape)
+
+    def release(self):
+        """Drop the memory this thread keeps; arrays still alive keep theirs."""
+        self.handed = {}
 
 
 _workspace = _Workspace()

@@ -185,8 +185,9 @@ def _write_records(path, result: StudyResult):
     # A record is one cell of the result's (trial, row) grid: its trial and n
     # come from the grid's row, its selector from the column, its T from the
     # column or, where the selector picks T, from the trial's row of T_grid.
-    # Each text is formatted once: a trial's "trial,n,", a column's
-    # "T,tau_true," and ",selector", and each distinct tau_hat's
+    # Its tau_hat is the cell's split k over the row's n, the float
+    # estimate_tau gives.  Each text is formatted once: a trial's "trial,n,",
+    # a column's "T,tau_true," and ",selector", and each distinct tau_hat's
     # "tau_hat,abs_error".  Keying on the float is exact because tau_hat lies
     # in (0, 1), so 0.0 and -0.0, the only equal floats repr tells apart,
     # never meet.
@@ -198,13 +199,14 @@ def _write_records(path, result: StudyResult):
     trials = config.trials
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_RECORD_HEADER) + "\r\n")
-        for g, tau_hats in enumerate(result.grid):
-            head = f"{g % trials},{config.n_grid[g // trials]},"
+        for g, ks in enumerate(result.grid):
+            n = config.n_grid[g // trials]
+            head = f"{g % trials},{n},"
             fh.write("".join(
                 f"{head}{mid}"
                 f"{pairs.get(x) or pairs.setdefault(x, f'{_fmt(x)},{_fmt(abs(x - config.tau))}')}"
                 f"{tail}"
-                for mid, x, tail in zip(mids[g if len(mids) > 1 else 0], tau_hats.tolist(), tails)))
+                for mid, x, tail in zip(mids[g if len(mids) > 1 else 0], (ks / n).tolist(), tails)))
 
 
 def _write_summary(path, result: StudyResult):

@@ -33,6 +33,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._kernels import _workspace
 from .errors import ValidationError, check_fraction, check_integer, check_integers, check_sigma
 from .estimator import estimate_tau, sweep_estimate
 from .model import ModelSpec, SignalMatrix, _kernel_limit, generate_sample
@@ -55,7 +56,7 @@ _SEED_CAP = 2**63 - 1
 # x = -log(1 - U) / r, and U is at most 1 - 2**-53, so x <= 53 ln 2 / r.
 _Z_MAX = 3.6541528853610088 + 53.0 * math.log(2.0) / 3.6541528853610088  # about 13.71
 # Columns of the (trial, row) grid summarised at once: 51 KB of abs errors
-# per copy at 400 trials, where the sweep's whole grid is 640 KB.
+# per copy at 400 trials, where the sweep's whole grid's would be 640 KB.
 _SUMMARY_COLUMNS = 16
 
 
@@ -182,13 +183,16 @@ class ExperimentConfig:
 @dataclass(frozen=True, eq=False)
 class StudyResult:
     """The records of the study ``config`` ran, as a (trial, row) grid of
-    tau_hat, and their summary.
+    split indices, and their summary.
 
     ``grid`` has one read-only row per trial, n by n in ``config.n_grid``
     order, and one column per row key of ``config.rows``, a (T, selector)
-    pair.  ``T_grid`` holds each cell's T: one row shared by every trial,
-    or one row per trial when a selector picks T.  Each cell is one record
-    of records.csv, whose abs_error is |tau_hat - config.tau|.
+    pair.  Each cell is the fit's split k_hat, in the narrowest unsigned
+    type that holds the largest n (uint8 up to n = 255), and its tau_hat
+    is k_hat / n by the row's n.  ``T_grid`` holds each cell's T: one row
+    shared by every trial, or one row per trial when a selector picks T.
+    Each cell is one record of records.csv, whose abs_error is
+    |tau_hat - config.tau|.
 
     ``summary`` maps (n, T, selector) to the stats of that group's
     ``abs_error``, in the order the groups first appear in the records.
@@ -308,12 +312,13 @@ _SELECTORS = {  # each selector row's pick of T from the trial's sample and gene
 
 
 def _trial(payload):
-    """One trial from a (config, n, trial) payload: (picked_T, tau_hat).
+    """One trial from a (config, n, trial) payload: (picked_T, k_hat).
 
     The sample is drawn with the config's seed tag, then each selector row
     picks its T in row order, so method 2 draws its seed right after the
-    sample.  ``tau_hat`` has one entry per row of ``config.rows``;
-    ``picked_T`` is every row's T where a selector picks T, else None.
+    sample.  ``k_hat``, each fit's split, has one entry per row of
+    ``config.rows``; ``picked_T`` is every row's T where a selector picks
+    T, else None.
     With several rows that keep their T, every row is read off one
     ``sweep_estimate`` table, which ``estimate_tau`` reproduces bit for bit.
     """
@@ -323,9 +328,9 @@ def _trial(payload):
     T = config._shared_T
     if T is None:  # each selector row picks its T from this trial's sample
         T = [t if t is not None else _SELECTORS[tag](sample, config, rng) for t, tag in config.rows]
-        return T, [estimate_tau(sample, t).tau_hat for t in T]
-    return None, (sweep_estimate(sample, T)[0] / n if len(T) > 1
-                  else [estimate_tau(sample, T[0]).tau_hat])
+        return T, [estimate_tau(sample, t).k_hat for t in T]
+    return None, (sweep_estimate(sample, T)[0] if len(T) > 1
+                  else [estimate_tau(sample, T[0]).k_hat])
 
 
 # studybench/replay.py times each study's trials by rebinding these names,
@@ -340,29 +345,33 @@ def run_study(config: ExperimentConfig, workers: int = 1) -> StudyResult:
     order.  A block is summarised ``_SUMMARY_COLUMNS`` columns at a time,
     their abs errors made just before, so neither the abs errors nor
     ``summarize_columns``' copies of them ever span the whole grid; its
-    median is ``np.median``'s bit for bit, without ``numpy.ma``.  Only a
-    selector that picks T needs a T per trial; otherwise every trial shares
-    the rows' T.
+    median is ``np.median``'s bit for bit, without ``numpy.ma``.  Each
+    tau_hat, k / n in float64, is ``estimate_tau``'s ``k_hat / n`` bit for
+    bit.  Only a selector that picks T needs a T per trial; otherwise every
+    trial shares the rows' T.  The thread's kernel workspace is released
+    once the trials end, so the summary and what follows it do not hold it.
     """
     # A pool starts all its workers at once: no more than the machine has CPUs.
     workers = check_integer("workers", workers, 1, os.cpu_count() or 1)
     trial_fn = globals()[f"_{config.study}_trial"]
     rows, shared = config.rows, config._shared_T
     payloads = [(config, n, trial) for n in config.n_grid for trial in range(config.trials)]
-    grid = np.empty((len(payloads), len(rows)))
+    # Every split k is at most n - 2.
+    grid = np.empty((len(payloads), len(rows)), np.min_scalar_type(max(config.n_grid)))
     T_grid = np.empty(grid.shape, int) if shared is None else np.array([shared])
-    for i, (T, tau_hat) in enumerate(_run_trials(trial_fn, payloads, workers)):
+    for i, (T, k_hat) in enumerate(_run_trials(trial_fn, payloads, workers)):
         # Checked, since numpy would broadcast a one-element row silently.
-        if len(tau_hat) != len(rows):
-            raise RuntimeError(f"a trial returned {len(tau_hat)} estimates for {len(rows)} rows")
-        grid[i] = tau_hat
+        if len(k_hat) != len(rows):
+            raise RuntimeError(f"a trial returned {len(k_hat)} estimates for {len(rows)} rows")
+        grid[i] = k_hat
         if shared is None:
             T_grid[i] = T
+    _workspace.release()
     grid.flags.writeable = T_grid.flags.writeable = False
     summary = {}
     for n, block in zip(config.n_grid, grid.reshape(len(config.n_grid), config.trials, -1)):
         for lo in range(0, len(rows), _SUMMARY_COLUMNS):
             keys = [(n, t, tag) for t, tag in rows[lo:lo + _SUMMARY_COLUMNS]]
-            errors = np.abs(block[:, lo:lo + _SUMMARY_COLUMNS] - config.tau)
+            errors = np.abs(block[:, lo:lo + _SUMMARY_COLUMNS] / n - config.tau)
             summary.update(zip(keys, summarize_columns(errors)))
     return StudyResult(config=config, grid=grid, T_grid=T_grid, summary=summary)

@@ -134,16 +134,18 @@ def record_columns(result) -> dict[str, np.ndarray]:
     """A StudyResult's records as columns, one entry per row of records.csv.
 
     ``trial_index``, ``n``, ``T``, ``tau_hat``, ``abs_error`` and
-    ``selector``, built from the (trial, row) grid by ``np.tile`` and
-    ``np.repeat``; the file's ``tau_true`` column is ``config.tau``.
+    ``selector``, built from the (trial, row) grid of splits by ``np.tile``
+    and ``np.repeat``, each tau_hat the split over its grid row's n; the
+    file's ``tau_true`` column is ``config.tau``.
     """
     c, grid = result.config, result.grid
+    tau_hat = grid / np.repeat(c.n_grid, c.trials)[:, None]
     return {
         "trial_index": np.tile(np.repeat(np.arange(c.trials), len(c.rows)), len(c.n_grid)),
         "n": np.repeat(c.n_grid, c.trials * len(c.rows)),
         "T": np.broadcast_to(result.T_grid, grid.shape).flatten(),
-        "tau_hat": grid.ravel(),
-        "abs_error": np.abs(grid - c.tau).ravel(),
+        "tau_hat": tau_hat.ravel(),
+        "abs_error": np.abs(tau_hat - c.tau).ravel(),
         "selector": np.tile([tag for _, tag in c.rows], len(grid)),
     }
 

@@ -11,8 +11,9 @@ and freed before; the pytest process's history can hide the churn.
 
 A warm sweep trial allocates no large array: its sample and its table go
 into the memory of the last trial's.  What remains is the study's result,
-one 640 KB (trial, row) grid of tau_hat for 400 trials, filled as the
-trials arrive: about 800 faults.  While each trial freed a fresh sample
+one 80 KB (trial, row) grid of uint8 splits for 400 trials, filled as the
+trials arrive, and its summary: about 120 faults, and 190 with a 640 KB
+float64 grid of tau_hat.  While each trial freed a fresh sample
 and table, the count followed the heap's layout: 2,640 to 27,450 over
 start-ups that differed only in the size of the environment.  So a test
 also bounds what one warm trial allocates, as tracemalloc sees it, which
@@ -163,13 +164,14 @@ print(held, study_peak, tracemalloc.get_traced_memory()[1] - held)
 
 
 def test_sweep_study_and_records_memory():
-    # A warmed 400-trial sweep study (80,000 records) and its records.csv:
-    # about 0.77 MB held, a 0.98 MB study peak and 0.14 MB for the writer.
-    # Seven record columns of 80,000 entries would hold 5.6 MB; summarising
-    # the whole grid at once, with full-grid abs errors and copies, peaked
-    # at 2.7 MB.
+    # A warmed 400-trial sweep study (80,000 records) and its records.csv.
+    # The result holds an 80 KB uint8 grid of splits and its summary, under
+    # 0.4 MB (about 0.22 MB; a float64 grid of tau_hat held 0.77 MB), with
+    # a 0.79 MB study peak and 0.09 MB for the writer.  Seven record
+    # columns of 80,000 entries would hold 5.6 MB; summarising the whole
+    # grid at once, with full-grid abs errors and copies, peaked at 2.7 MB.
     held, study_peak, writer = _fresh(_MEMORY)
-    assert held < 1_500_000, f"the sweep result holds {held} bytes"
+    assert held < 400_000, f"the sweep result holds {held} bytes"
     assert study_peak < 1_500_000, f"the sweep study peaked at {study_peak} bytes"
     assert writer < 500_000, f"writing the records took {writer} bytes above the result"
 

@@ -735,16 +735,18 @@ def test_experiment_selection_config_needs_no_t_grid(tmp_path, capsys):
 
 
 def _write_records_per_row(path, tau, result):
-    # The plain writer: every float formatted where it is written.
+    # The plain writer: every float formatted where it is written, each
+    # tau_hat the cell's split over its n, as estimate_tau divides them.
     records = record_columns(result)
+    splits = result.grid.ravel().tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["trial_index", "n", "T", "tau_true", "tau_hat", "abs_error", "selector"])
-        for i in range(len(records["n"])):
+        for i, k in enumerate(splits):
+            tau_hat = k / int(records["n"][i])
             writer.writerow(
                 [int(records["trial_index"][i]), int(records["n"][i]), int(records["T"][i]),
-                 _fmt(tau), _fmt(records["tau_hat"][i]), _fmt(records["abs_error"][i]),
-                 str(records["selector"][i])]
+                 _fmt(tau), _fmt(tau_hat), _fmt(abs(tau_hat - tau)), str(records["selector"][i])]
             )
 
 
@@ -762,7 +764,7 @@ def test_write_records_matches_per_row_writer(tmp_path, study, overrides, record
     result = run_study(config)
     assert len(record_columns(result)["n"]) == records
     if study == "rate":  # 0.3 = 6/20 = 12/40: one memo entry serves both n blocks
-        assert 0.3 in result.grid[:3] and 0.3 in result.grid[3:]
+        assert 6 in result.grid[:3] and 12 in result.grid[3:]
     _write_records(tmp_path / "fast.csv", result)
     _write_records_per_row(tmp_path / "plain.csv", config.tau, result)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()

@@ -9,6 +9,7 @@ from cpkmeans import (
     ExperimentConfig,
     MeanCase,
     ModelSpec,
+    SignalMatrix,
     StudyResult,
     SummaryStats,
     ValidationError,
@@ -17,9 +18,10 @@ from cpkmeans import (
     generate_sample,
     run_study,
     sample_case_means,
+    sweep_estimate,
 )
 
-from cpkmeans import experiments
+from cpkmeans import _kernels, experiments
 from helpers import (
     WORKERS,
     case_means_reference,
@@ -441,14 +443,14 @@ def test_grid_summary_matches_per_record_grouping(study):
 def _columns_from_batches(config):
     # The record columns built the way the study once stored them: from the
     # list of every trial's batch, by np.tile and np.repeat, with the trials'
-    # T (their picks, or else the rows' T) stacked row by row.
-    batches = [
-        experiments._trial((config, n, trial))
-        for n in config.n_grid for trial in range(config.trials)
-    ]
+    # T (their picks, or else the rows' T) stacked row by row, and each
+    # tau_hat the trial's split over its n, as estimate_tau divides them.
+    payloads = [(config, n, trial) for n in config.n_grid for trial in range(config.trials)]
+    batches = [experiments._trial(payload) for payload in payloads]
     fixed_T = [t for t, _ in config.rows]
     T = [fixed_T if picked is None else picked for picked, _ in batches]
-    tau_hat = np.array([tau_hat for _, tau_hat in batches])
+    tau_hat = np.array([[int(k) / n for k in k_hat]
+                        for (_, n, _), (_, k_hat) in zip(payloads, batches)])
     rows = len(config.rows)
     return {
         "trial_index": np.tile(np.repeat(np.arange(config.trials), rows), len(config.n_grid)),
@@ -463,19 +465,26 @@ def _columns_from_batches(config):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("study", ["rate", "sweep", "selection"])
 def test_record_columns_match_per_batch_construction(study, workers):
+    # The grid holds each split in the narrowest unsigned type for the largest n.
     if study == "rate":
-        config = _rate_config(trials=3)
+        configs = [(_rate_config(trials=3), np.uint8),
+                   (_rate_config(trials=2, n_grid=(100, 4000)), np.uint16)]
     else:
-        config = _case_b_config(study=study, trials=3 if study == "sweep" else 4)
+        trials = 3 if study == "sweep" else 4
+        configs = [(_case_b_config(study=study, trials=trials), np.uint8),
+                   (_case_b_config(study=study, trials=trials, n_grid=(100,)), np.uint8)]
     if workers == 2:
         skip_pool_below_two_cpus()
-    records = record_columns(run_study(config, workers=workers))
-    for name, expected in _columns_from_batches(config).items():
-        column = records[name]
-        assert column.dtype == expected.dtype, name
-        assert np.array_equal(column, expected), name
-    if study == "selection":  # the picks differ between trials
-        assert len(set(records["T"][records["selector"] == "method2"].tolist())) > 1
+    for config, dtype in configs:
+        result = run_study(config, workers=workers)
+        assert result.grid.dtype == dtype
+        records = record_columns(result)
+        for name, expected in _columns_from_batches(config).items():
+            column = records[name]
+            assert column.dtype == expected.dtype, name
+            assert np.array_equal(column, expected), name
+        if study == "selection":  # the picks differ between trials
+            assert len(set(records["T"][records["selector"] == "method2"].tolist())) > 1
 
 
 def test_run_study_rejects_trials_with_different_rows(monkeypatch):
@@ -483,10 +492,10 @@ def test_run_study_rejects_trials_with_different_rows(monkeypatch):
     config = _case_b_config(study="sweep", trials=3)  # 25 rows
 
     def ragged(payload):  # trial 0 is right, trial 1 one too long
-        return None, [0.3] * (25 + payload[2])
+        return None, [6] * (25 + payload[2])
 
     def single(payload):  # one estimate, which numpy would broadcast over every row
-        return None, [0.3]
+        return None, [6]
 
     for trial_fn in (ragged, single):
         monkeypatch.setattr(experiments, "_sweep_trial", trial_fn)
@@ -498,8 +507,21 @@ def test_run_study_keys_picked_t_as_none(monkeypatch):
     # Method 1's and method 2's T may change between trials; their groups have no T.
     config = _case_b_config(trials=3)
     monkeypatch.setattr(
-        experiments, "_selection_trial", lambda payload: ([5, payload[2] + 1, 7], [0.3] * 3)
+        experiments, "_selection_trial", lambda payload: ([5, payload[2] + 1, 7], [6] * 3)
     )
     result = run_study(config)
     assert list(result.summary) == [(20, 5, "oracle"), (20, None, "method1"), (20, None, "method2")]
     assert record_columns(result)["T"].tolist() == [5, 1, 7, 5, 2, 7, 5, 3, 7]
+
+
+def test_run_study_releases_the_kernel_workspace():
+    # Once its trials end, a serial study leaves its thread no kernel memory;
+    # a table a caller took before keeps its own memory and its values.
+    rng = np.random.default_rng(64)
+    table = sweep_estimate(SignalMatrix(rng.normal(size=(30, 25))), range(1, 26))[1]
+    expected = table.copy()
+    run_study(_case_b_config(study="sweep", trials=2))
+    assert _kernels._workspace.handed == {}
+    assert np.array_equal(table, expected)
+    sweep_estimate(SignalMatrix(rng.normal(size=(30, 25))), range(1, 26))
+    assert np.array_equal(table, expected)

@@ -25,9 +25,10 @@ grows, each pick is a minimiser of its per-subset row bit for bit.
 ``tests/test_kernels.py`` checks the table against the direct formula
 in ``tests/helpers.py`` and each partial kernel against the table.
 ``studybench/run.py --trace 1`` times only ``objective_table``, the
-sweep's kernel, so the traced ``kernel.*`` metrics of rate and
-selection, whose fits call the other two, read 0.  The table comes back
-row-contiguous, so a sweep takes the argmin of every row without a copy.
+kernel of every trial with several rows, so its traced ``kernel.*``
+metrics leave out only rate's fits and method 2, which call the other
+two.  The table comes back row-contiguous, so ``sweep_estimate`` takes
+the argmin of every row without a copy.
 
 The table and the row take every buffer they make, the returned table
 included, from a per-thread workspace, and so does

@@ -187,12 +187,11 @@ class StudyResult:
 
     ``grid`` has one read-only row per trial, n by n in ``config.n_grid``
     order, and one column per row key of ``config.rows``, a (T, selector)
-    pair.  Each cell is the fit's split k_hat, in the narrowest unsigned
-    type that holds the largest n (uint8 up to n = 255), and its tau_hat
-    is k_hat / n by the row's n.  ``T_grid`` holds each cell's T: one row
-    shared by every trial, or one row per trial when a selector picks T.
-    Each cell is one record of records.csv, whose abs_error is
-    |tau_hat - config.tau|.
+    pair.  Each cell is the fit's split k_hat in {2, ..., n - 2}, in the
+    narrowest unsigned type that holds the largest n (uint8 up to 255), and
+    is one record of records.csv, whose tau_hat is k_hat / n by the row's n
+    and abs_error |tau_hat - config.tau|.  ``T_grid`` holds each cell's T:
+    one row shared by every trial, or one per trial where a selector picks T.
 
     ``summary`` maps (n, T, selector) to the stats of that group's
     ``abs_error``, in the order the groups first appear in the records.
@@ -312,25 +311,20 @@ _SELECTORS = {  # each selector row's pick of T from the trial's sample and gene
 
 
 def _trial(payload):
-    """One trial from a (config, n, trial) payload: (picked_T, k_hat).
+    """One trial from a (config, n, trial) payload: (T, k_hat), each row's T
+    and split in ``config.rows`` order, selector rows included.
 
     The sample is drawn with the config's seed tag, then each selector row
     picks its T in row order, so method 2 draws its seed right after the
-    sample.  ``k_hat``, each fit's split, has one entry per row of
-    ``config.rows``; ``picked_T`` is every row's T where a selector picks
-    T, else None.
-    With several rows that keep their T, every row is read off one
-    ``sweep_estimate`` table, which ``estimate_tau`` reproduces bit for bit.
+    sample.  Several rows are read off one ``sweep_estimate`` table, which
+    ``estimate_tau`` reproduces bit for bit, and one row off ``estimate_tau``.
     """
     config, n, trial = payload
     rng = np.random.default_rng(derive_trial_seed(config.base_seed, trial, n, *config._seed_tag))
     sample = draw_sample(config.case, n, config.d, config.tau, config.sigma, rng)
-    T = config._shared_T
-    if T is None:  # each selector row picks its T from this trial's sample
-        T = [t if t is not None else _SELECTORS[tag](sample, config, rng) for t, tag in config.rows]
-        return T, [estimate_tau(sample, t).k_hat for t in T]
-    return None, (sweep_estimate(sample, T)[0] if len(T) > 1
-                  else [estimate_tau(sample, T[0]).k_hat])
+    T = config._shared_T or [t if t is not None else _SELECTORS[tag](sample, config, rng)
+                             for t, tag in config.rows]
+    return T, (sweep_estimate(sample, T)[0] if len(T) > 1 else [estimate_tau(sample, T[0]).k_hat])
 
 
 # studybench/replay.py times each study's trials by rebinding these names,
@@ -347,9 +341,10 @@ def run_study(config: ExperimentConfig, workers: int = 1) -> StudyResult:
     ``summarize_columns``' copies of them ever span the whole grid; its
     median is ``np.median``'s bit for bit, without ``numpy.ma``.  Each
     tau_hat, k / n in float64, is ``estimate_tau``'s ``k_hat / n`` bit for
-    bit.  Only a selector that picks T needs a T per trial; otherwise every
-    trial shares the rows' T.  The thread's kernel workspace is released
-    once the trials end, so the summary and what follows it do not hold it.
+    bit.  A trial's splits must be integers in {2, ..., n - 2}.  Its rows'
+    T, which every trial returns, are kept per trial only where a selector
+    picks T.  The thread's kernel workspace is released once the trials
+    end, so the summary and what follows it do not hold it.
     """
     # A pool starts all its workers at once: no more than the machine has CPUs.
     workers = check_integer("workers", workers, 1, os.cpu_count() or 1)
@@ -360,9 +355,13 @@ def run_study(config: ExperimentConfig, workers: int = 1) -> StudyResult:
     grid = np.empty((len(payloads), len(rows)), np.min_scalar_type(max(config.n_grid)))
     T_grid = np.empty(grid.shape, int) if shared is None else np.array([shared])
     for i, (T, k_hat) in enumerate(_run_trials(trial_fn, payloads, workers)):
-        # Checked, since numpy would broadcast a one-element row silently.
+        # Checked, since numpy would broadcast a one-element row, truncate a
+        # fraction and wrap a split past the grid's type, all silently.
+        k_hat, n = np.asarray(k_hat), payloads[i][1]
         if len(k_hat) != len(rows):
             raise RuntimeError(f"a trial returned {len(k_hat)} estimates for {len(rows)} rows")
+        if k_hat.dtype.kind not in "iu" or k_hat.min() < 2 or k_hat.max() > n - 2:
+            raise RuntimeError(f"a trial returned splits other than integers in [2, {n - 2}]")
         grid[i] = k_hat
         if shared is None:
             T_grid[i] = T

@@ -443,12 +443,11 @@ def test_grid_summary_matches_per_record_grouping(study):
 def _columns_from_batches(config):
     # The record columns built the way the study once stored them: from the
     # list of every trial's batch, by np.tile and np.repeat, with the trials'
-    # T (their picks, or else the rows' T) stacked row by row, and each
+    # T (each row's, picked or fixed) stacked row by row, and each
     # tau_hat the trial's split over its n, as estimate_tau divides them.
     payloads = [(config, n, trial) for n in config.n_grid for trial in range(config.trials)]
     batches = [experiments._trial(payload) for payload in payloads]
-    fixed_T = [t for t, _ in config.rows]
-    T = [fixed_T if picked is None else picked for picked, _ in batches]
+    T = [T for T, _ in batches]
     tau_hat = np.array([[int(k) / n for k in k_hat]
                         for (_, n, _), (_, k_hat) in zip(payloads, batches)])
     rows = len(config.rows)
@@ -488,8 +487,8 @@ def test_record_columns_match_per_batch_construction(study, workers):
 
 
 def test_run_study_rejects_trials_with_different_rows(monkeypatch):
-    # The config names the rows; a trial must give one estimate for each.
-    config = _case_b_config(study="sweep", trials=3)  # 25 rows
+    # The config names the rows; a trial must give one split in [2, n - 2] for each.
+    config = _case_b_config(study="sweep", trials=3)  # 25 rows at n = 20
 
     def ragged(payload):  # trial 0 is right, trial 1 one too long
         return None, [6] * (25 + payload[2])
@@ -497,10 +496,38 @@ def test_run_study_rejects_trials_with_different_rows(monkeypatch):
     def single(payload):  # one estimate, which numpy would broadcast over every row
         return None, [6]
 
-    for trial_fn in (ragged, single):
+    def fractional(payload):  # the uint8 grid would store each as 0
+        return None, [0.3] * 25
+
+    def out_of_range(payload):  # trial 0 holds 2 and n - 2, trial 1 n - 1
+        return None, np.array([2] * 24 + [18 + payload[2]])
+
+    def wrapping(payload):  # the uint8 grid would store 256 as 0
+        return None, [6] * 24 + [256]
+
+    rows, splits = "estimates for 25 rows", r"splits other than integers in \[2, 18\]"
+    for trial_fn, message in [(ragged, rows), (single, rows), (fractional, splits),
+                              (out_of_range, splits), (wrapping, splits)]:
         monkeypatch.setattr(experiments, "_sweep_trial", trial_fn)
-        with pytest.raises(RuntimeError, match="estimates for 25 rows"):
+        with pytest.raises(RuntimeError, match=message):
             run_study(config)
+
+
+@pytest.mark.parametrize("study, calls", [("selection", (1, 0)), ("sweep", (1, 0)),
+                                          ("rate", (0, 1))])
+def test_trial_fits_several_rows_off_one_table(monkeypatch, study, calls):
+    # One sweep_estimate table serves every row, selector rows included; a
+    # single row is estimate_tau's.
+    counts = {}
+    for name in ("sweep_estimate", "estimate_tau"):
+        def counted(*args, fit=getattr(experiments, name), name=name):
+            counts[name] = counts.get(name, 0) + 1
+            return fit(*args)
+        monkeypatch.setattr(experiments, name, counted)
+    config = _rate_config() if study == "rate" else _case_b_config(study=study)
+    T, k_hat = experiments._trial((config, 20, 0))
+    assert (counts.get("sweep_estimate", 0), counts.get("estimate_tau", 0)) == calls
+    assert len(T) == len(k_hat) == len(config.rows)
 
 
 def test_run_study_keys_picked_t_as_none(monkeypatch):

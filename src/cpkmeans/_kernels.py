@@ -19,9 +19,10 @@ of row subsets at once: the first maximum of the weighted energy, the
 float the table subtracts from tss_T, since tss_T does not depend on k.
 All three do the same operations in the same order (``sum x^2`` is
 numpy's pairwise sum over one contiguous column, whose order depends
-only on n; P_k and the sums over T are running sums), so the row equals
-the table's row bit for bit, and as ``fl(tss_T - x)`` never rises as x
-grows, each pick is a minimiser of its per-subset row bit for bit.
+only on n; P_k and the sums over T are running sums, in order also in
+method 2's blocks of T), so the row equals the table's row bit for bit,
+and as ``fl(tss_T - x)`` never rises as x grows, each pick is a
+minimiser of its per-subset row bit for bit.
 ``tests/test_kernels.py`` checks the table against the direct formula
 in ``tests/helpers.py`` and each partial kernel against the table.
 ``studybench/run.py --trace 1`` times only ``objective_table``, the
@@ -31,10 +32,11 @@ two.  The table comes back row-contiguous, so ``sweep_estimate`` takes
 the argmin of every row without a copy.
 
 The table and the row take every buffer they make, the returned table
-included, from a per-thread workspace, and so does
-``model.generate_sample`` for its draw.  A buffer is asked for by role
-and shape, and the role gets back the memory it last handed out if that
-is large enough and no array on it is alive, and new memory otherwise.
+included, from a per-thread workspace, and so do
+``model.generate_sample`` for its draw and method 2 for its blocks.  A
+buffer is asked for by role and shape, and the role gets back the
+memory it last handed out if that is large enough and no array on it
+is alive, and new memory otherwise.
 So a result a caller holds, or any view of one, is never written again,
 each call or study trial reuses the last one's memory, and the rows of
 one sample at several T share it.  Arrays alive at the same time need
@@ -61,6 +63,8 @@ import numpy as np
 
 # Memory of up to this many float64 values (8 MB) is kept between calls.
 _KEEP = 1 << 20
+# ``subsample_argmins`` works on blocks of this many T columns.
+_BLOCK = 4
 
 
 class _Workspace(threading.local):
@@ -194,37 +198,48 @@ def subsample_argmins(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
         energy at T, is a minimiser of ``objective_table(values[rows[i]])[T - 1]``
         bit for bit, and that row's ``argmin`` wherever its minimum is unique.
 
-    The loop runs over T, one column at a time, for all subsets at once,
-    and keeps (s, m) arrays, never an (s, m, d) stack.  Each subset's
-    column is shifted by its own first value and centred on its own
-    total, in the table's operations and order, so each energy is the
-    float the table subtracts from tss_T.  The shifted
-    values are gathered from one small table per column, of the column
-    less each distinct first value, in place of a subtraction per subset.
-    The distinct first values are the nonzero bins of their count, and
-    each subset's slot in the table is a binary search among them, so
-    nothing is sorted: a first ``np.unique`` call would add about 0.45 MB
-    to the process's memory.
+    The loop runs over blocks of ``_BLOCK`` T columns for all subsets at
+    once, on two buffers from the workspace's ``table`` and ``scratch``
+    roles, which no table holds while method 2 runs in a study trial.
+    Each running sum still adds left to right and each energy one T at
+    a time, as in the table, so each energy is the float the table
+    subtracts from tss_T, and the argmax over k keeps its first maximum.
+    The shifted values are gathered from one small table per block, of
+    the columns less each distinct first value.  The distinct first
+    values are the nonzero bins of their count, and each subset's slot
+    in the table is a binary search among them, so nothing is sorted: a
+    first ``np.unique`` call would add about 0.45 MB to the process's
+    memory.
     """
-    s, m = rows.shape
-    n, d = values.shape
-    ratios = np.arange(2, m - 1) / m
-    weights = np.tile(_weights(m), (s, 1))
+    (s, m), (n, d) = rows.shape, values.shape
+    ratios = np.arange(2, m - 1)[:, None] / m
+    weights = _weights(m)
     firsts = np.flatnonzero(np.bincount(rows[:, 0], minlength=n))
     slot = np.searchsorted(firsts, rows[:, 0])
-    index = rows + (slot * n)[:, None]
-    columns = np.ascontiguousarray(values.T)
+    index = np.ascontiguousarray((rows + (slot * n)[:, None]).T)
+    gathered = _workspace.empty("table", (m * s * _BLOCK,))
+    squares = _workspace.empty("scratch", (m * s * _BLOCK,))
     energy = np.zeros((s, m - 3))
-    obj = np.empty((s, m - 3))
     out = np.empty((d, s), dtype=np.intp)
-    for t in range(d):
-        column = columns[t]
-        cusum = (column - column[firsts][:, None]).ravel()[index]
-        np.cumsum(cusum, axis=1, out=cusum)
-        total = cusum[:, -1:]
-        np.multiply(total, ratios, out=obj)
-        np.subtract(cusum[:, 1 : m - 2], obj, out=obj)
-        energy += np.multiply(obj, obj, out=obj)
-        np.multiply(energy, weights, out=obj)
-        obj.argmax(axis=1, out=out[t])
+    for t in range(0, d, _BLOCK):
+        width = min(_BLOCK, d - t)
+        if t == 0 or width < _BLOCK:  # the first block, or a ragged last one
+            sums = gathered[: m * s * width].reshape(m, s, width)
+            running = list(sums)
+        block = values[:, t : t + width]
+        np.take((block - block[firsts][:, None]).reshape(-1, width), index, axis=0, out=sums)
+        for prev, row in zip(running, running[1:]):
+            np.add(prev, row, out=row)
+        cusum = sums.reshape(m, s * width)[1 : m - 2]
+        # The scratch memory takes the centring product, then, once spent, the T-first squares.
+        square = squares[: cusum.size].reshape(width, s, m - 3)
+        cusum -= np.multiply(ratios, sums[m - 1].reshape(-1), out=square.reshape(cusum.shape))
+        cusum *= cusum
+        np.copyto(square, cusum.reshape(m - 3, s, width).transpose(2, 1, 0))
+        square[0] += energy
+        for j in range(1, width):
+            square[j] += square[j - 1]
+        np.copyto(energy, square[-1])
+        square *= weights
+        square.argmax(axis=2, out=out[t : t + width])
     return out.T

@@ -129,11 +129,17 @@ def _config(trials, **kw):
     # One fresh 640 KB sample would take a rate trial past 640 KB.
     (experiments._trial,
      _config(3, study="sweep", n_grid=(4000,), d=20, case="rate", t_grid=(10,)), 400_000),
-], ids=["sweep", "rate"])
+    # Method 2's blocks take their buffers from the workspace; fresh (100, 80)
+    # temporaries on each of its 200 T steps peaked at about 0.90 MB.
+    (experiments._trial,
+     _config(3, study="selection", n_grid=(100,), d=200, case="caseB", t_grid=range(1, 201),
+             t_star=30, n_sub=100, frac=0.8), 800_000),
+], ids=["sweep", "rate", "selection"])
 def test_warm_trials_allocate_no_sample_or_table(trial, config, bound):
     # The fault counts' companion that does not depend on the heap's layout:
     # the peak of what one warm trial allocates, as tracemalloc sees it
-    # (139 KB and 195 KB; numpy's ufunc buffers are most of it).
+    # (139 KB, 195 KB and about 0.70 MB; numpy's ufunc buffers are most of
+    # the first two, ``np.take``'s bounds-checked output copy of the last).
     n = config.n_grid[0]
     for i in range(2):
         trial((config, n, i))

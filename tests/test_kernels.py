@@ -76,6 +76,9 @@ def _sorted_subsets(rng, n, m, s):
     return np.stack([np.sort(rng.choice(n, size=m, replace=False)) for _ in range(s)])
 
 
+_BLOCK = _kernels._BLOCK
+
+
 @pytest.mark.parametrize(
     "n, d, m, s",
     [
@@ -83,6 +86,12 @@ def _sorted_subsets(rng, n, m, s):
         (6, 1, 4, 5),
         (5, 3, 4, 7),
         (12, 9, 9, 3),
+        # Fewer T than one block, one block, and ragged last blocks.
+        (15, _BLOCK - 1, 11, 6),
+        (15, _BLOCK, 11, 6),
+        (15, _BLOCK + 1, 11, 6),
+        (15, 2 * _BLOCK + 1, 11, 6),
+        (30, 2 * _BLOCK + 1, 20, 1),  # one subset over several blocks
         (100, 200, 80, 100),  # the selection study's method-2 shape
     ],
 )
@@ -90,7 +99,12 @@ def test_subsample_argmins_match_per_subset_tables(n, d, m, s):
     rng = np.random.default_rng(n * 1000 + d)
     values = rng.normal(size=(n, d))
     rows = _sorted_subsets(rng, n, m, s)
-    _assert_minimisers(values, rows, subsample_argmins(values, rows))
+    picks = subsample_argmins(values, rows)
+    _assert_minimisers(values, rows, picks)
+    # A SignalMatrix keeps F order and holds its values read-only.
+    frozen = SignalMatrix(np.asfortranarray(values)).values
+    assert frozen.flags.f_contiguous and not frozen.flags.writeable
+    assert np.array_equal(subsample_argmins(frozen, rows), picks)
 
 
 def test_subsample_argmins_first_rows_cover_every_start():
@@ -223,21 +237,27 @@ def _workspace_memory():
 def test_results_never_share_memory_with_the_workspace():
     rng = np.random.default_rng(58)
     a, b = rng.normal(size=(60, 30)), rng.normal(size=(60, 30))
+    rows = _sorted_subsets(rng, 60, 48, 20)
     table_a, row_a = objective_table(a), objective_row(a, 7)
     table_a_copy, row_a_copy = table_a.copy(), row_a.copy()
     argmins_a, swept_a = sweep_estimate(SignalMatrix(a), range(1, 31))
     swept_a_copy = swept_a.copy()
+    picks_a = subsample_argmins(a, rows)
+    picks_a_copy = picks_a.copy()
     assert _workspace_memory()
     # Only memory the workspace sees as alive, and so will not hand out, holds a result.
     for buffer, alive in _workspace_memory().values():
-        for result in (table_a, row_a, argmins_a, swept_a):
+        for result in (table_a, row_a, argmins_a, swept_a, picks_a):
             assert alive or not np.shares_memory(result, buffer)
     # A second call on other data, through the same workspace, leaves the first results alone.
     objective_table(b), objective_row(b, 7), objective_row(b, 30)
     sweep_estimate(SignalMatrix(b), range(1, 31))
+    # Method 2's block buffers take the table's roles, but not a table someone holds.
+    subsample_argmins(b, rows)
     assert np.array_equal(table_a, table_a_copy)
     assert np.array_equal(row_a, row_a_copy)
     assert np.array_equal(swept_a, swept_a_copy)
+    assert np.array_equal(picks_a, picks_a_copy)
 
 
 def test_workspace_buffers_are_reused_across_shapes():
@@ -266,8 +286,10 @@ def test_workspace_hands_out_memory_only_once_no_array_on_it_is_alive():
 
 
 def _table_and_rows(values):
-    d = values.shape[1]
-    return [objective_table(values)] + [objective_row(values, T) for T in (1, d // 2, d)]
+    n, d = values.shape
+    rows = _sorted_subsets(np.random.default_rng(n), n, n * 4 // 5, 10)
+    return ([objective_table(values)] + [objective_row(values, T) for T in (1, d // 2, d)]
+            + [subsample_argmins(values, rows)])
 
 
 def test_threads_get_the_serial_results_bit_for_bit():
@@ -322,17 +344,21 @@ def test_table_memory_is_reused_only_once_no_view_of_it_is_alive():
 def test_large_calls_keep_no_buffer(monkeypatch):
     # In a new thread, whose workspace starts empty.
     monkeypatch.setattr(_kernels, "_KEEP", 100)
-    values = np.random.default_rng(62).normal(size=(60, 30))
+    rng = np.random.default_rng(62)
+    values = rng.normal(size=(60, 30))
+    rows = _sorted_subsets(rng, 60, 48, 20)
     got = []
 
     def work():
-        got.append((objective_table(values), objective_row(values, 30)))
+        got.append((objective_table(values), objective_row(values, 30),
+                    subsample_argmins(values, rows)))
         got.append(_kernels._workspace.handed)
 
     thread = threading.Thread(target=work)
     thread.start()
     thread.join(timeout=30)
-    (table, row), handed = got
+    (table, row, picks), handed = got
     assert np.array_equal(table, objective_table_reference(values))
     assert np.array_equal(row, table[-1])
+    _assert_minimisers(values, rows, picks)
     assert handed == {}
